@@ -48,10 +48,6 @@ def _reject(message: str) -> int:
     return EX_REJECT
 
 
-def _parse_basket(text: str) -> Basket:
-    return Basket.parse(text)
-
-
 def _cmd_basket(args: argparse.Namespace) -> int:
     w = Weights(tuple(args.weights))
     if not well_formed(w):
@@ -61,7 +57,8 @@ def _cmd_basket(args: argparse.Namespace) -> int:
         return _reject(f"{family} is not quasismooth")
     try:
         b = basket(family)
-        sigma = sigma_k3(b)
+        # the K3 formula holds only at d = sum(a_i); the basket holds at any degree
+        sigma = sigma_k3(b) if family.is_canonical_trivial else "-"
     except (NotDuVal, BoundViolation) as exc:
         return _reject(str(exc))
     if args.format == "tsv":
@@ -75,7 +72,7 @@ def _cmd_basket(args: argparse.Namespace) -> int:
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
     try:
-        b = _parse_basket(" ".join(args.tokens))
+        b = Basket.parse(" ".join(args.tokens))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
@@ -156,7 +153,7 @@ def _cmd_table_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bsy(args: argparse.Namespace) -> int:
     try:
-        b = _parse_basket(args.basket)
+        b = Basket.parse(args.basket)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE

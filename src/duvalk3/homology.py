@@ -58,16 +58,19 @@ class FormalClass:
     """A rational linear combination of generators on one common space.
 
     Instances are immutable values: arithmetic returns new objects, zero
-    coefficients are never stored, and equality is exact and term-wise.
+    coefficients are never stored, the constructor stores integral ones as
+    int and the rest as Fraction, and equality is exact and term-wise.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Generator, Scalar] = ()) -> None:
-        clean: dict[Generator, Fraction] = {}
+    def __init__(self, terms: Mapping[Generator, Scalar] = {}) -> None:
+        clean: dict[Generator, Scalar] = {}
         space = None
-        for gen, coeff in dict(terms).items():
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        for gen, c in terms.items():
+            if type(c) is not int:
+                c = c if type(c) is Fraction else Fraction(c)
+                c = c.numerator if c.denominator == 1 else c
             if not c:
                 continue
             if space is None:
@@ -90,11 +93,11 @@ class FormalClass:
             return gen.space
         return None
 
-    def coefficient(self, gen: Generator) -> Fraction:
-        return self._terms.get(gen, Fraction(0))
+    def coefficient(self, gen: Generator) -> Scalar:
+        return self._terms.get(gen, 0)
 
-    def items(self) -> list[tuple[Generator, Fraction]]:
-        """Terms in deterministic (degree, label) order."""
+    def items(self) -> list[tuple[Generator, Scalar]]:
+        """Terms in deterministic (degree, label) order, for printing and tests."""
         return sorted(self._terms.items(), key=lambda t: (t[0].degree, t[0].label))
 
     def degree_part(self, degree: int) -> "FormalClass":
@@ -109,7 +112,7 @@ class FormalClass:
     def __add__(self, other: "FormalClass") -> "FormalClass":
         acc = dict(self._terms)
         for g, c in other._terms.items():
-            acc[g] = acc.get(g, Fraction(0)) + c
+            acc[g] = acc.get(g, 0) + c
         return FormalClass(acc)
 
     def __sub__(self, other: "FormalClass") -> "FormalClass":
@@ -119,8 +122,9 @@ class FormalClass:
         return FormalClass({g: -c for g, c in self._terms.items()})
 
     def scale(self, factor: Scalar) -> "FormalClass":
-        f = factor if type(factor) is Fraction else Fraction(factor)
-        return FormalClass({g: f * c for g, c in self._terms.items()})
+        if type(factor) not in (int, Fraction):  # a float times a Fraction rounds
+            factor = Fraction(factor)
+        return FormalClass({g: factor * c for g, c in self._terms.items()})
 
     __rmul__ = scale
 
@@ -163,7 +167,7 @@ def l_class_surface(sigma: Scalar, surface: SpaceLabel) -> FormalClass:
         )
     return FormalClass(
         {
-            Generator("pt", 0, surface): Fraction(sigma),
+            Generator("pt", 0, surface): sigma,
             Generator(f"[{surface.name}]", 4, surface): 1,
         }
     )
@@ -183,11 +187,11 @@ def product_generator(g: Generator, h: Generator) -> Generator:
 
 def product_class(cf: FormalClass, ce: FormalClass) -> FormalClass:
     """Bilinear exterior product; degrees add, labels concatenate."""
-    acc: dict[Generator, Fraction] = {}
-    for g, cg in cf.items():
-        for h, ch in ce.items():
+    acc: dict[Generator, Scalar] = {}
+    for g, cg in cf._terms.items():
+        for h, ch in ce._terms.items():
             gen = product_generator(g, h)
-            acc[gen] = acc.get(gen, Fraction(0)) + cg * ch
+            acc[gen] = acc.get(gen, 0) + cg * ch
     return FormalClass(acc)
 
 
@@ -228,7 +232,7 @@ class CoveringMap:
             raise ValueError(f"table key {gen.label} not on {dom.name}")
         if not image.is_zero and image.space != cod:
             raise ValueError(f"table image of {gen.label} not on {cod.name}")
-        for g, _ in image.items():
+        for g in image._terms:
             if g.degree != gen.degree:
                 raise DimensionMismatch(
                     f"table image of {gen.label} is not degree-preserving"
@@ -238,12 +242,14 @@ class CoveringMap:
 def _apply_table(
     table: Mapping[Generator, FormalClass], c: FormalClass, what: str
 ) -> FormalClass:
-    acc = FormalClass.zero()
-    for gen, coeff in c.items():
-        if gen not in table:
+    acc: dict[Generator, Scalar] = {}
+    for gen, coeff in c._terms.items():
+        image = table.get(gen)
+        if image is None:
             raise UnknownGenerator(f"no {what} entry for {gen.label}")
-        acc = acc + coeff * table[gen]
-    return acc
+        for g, v in image._terms.items():
+            acc[g] = acc.get(g, 0) + coeff * v
+    return FormalClass(acc)
 
 
 def pushforward(p: CoveringMap, c: FormalClass) -> FormalClass:
@@ -261,7 +267,7 @@ def transfer(p: CoveringMap, c: FormalClass) -> FormalClass:
 
 
 @lru_cache(maxsize=None)
-def hodge_class_tree(n: int) -> tuple[FormalClass, Fraction]:
+def hodge_class_tree(n: int) -> tuple[FormalClass, int]:
     """Hodge L-class of a tree of n rational curves, with its degree-0 part.
 
     The class is the sum of the component fundamental classes minus (n-1)
@@ -275,4 +281,4 @@ def hodge_class_tree(n: int) -> tuple[FormalClass, Fraction]:
         Generator(f"[P1_{i}]", 2, tree): 1 for i in range(1, n + 1)
     }
     terms[Generator("pt", 0, tree)] = -(n - 1)
-    return FormalClass(terms), Fraction(-(n - 1))
+    return FormalClass(terms), -(n - 1)

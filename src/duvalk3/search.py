@@ -10,6 +10,7 @@ in canonical order, so output never depends on the worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .ade import ADEType, Basket
@@ -104,6 +105,7 @@ def enumerate_k3_hypersurfaces(
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     units = [(a0, max_weight) for a0 in range(1, max_weight + 1)]
+    jobs = min(jobs, os.cpu_count() or 1, len(units))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.map(_families_with_leading, units)

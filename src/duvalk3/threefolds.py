@@ -68,12 +68,13 @@ def sigma_k3(b: Basket, q: int = 0) -> int:
         if b.entries:
             raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")
         return 0
-    if b.total_d > EXCEPTIONAL_CURVE_BOUND:
+    total_d = b.total_d
+    if total_d > EXCEPTIONAL_CURVE_BOUND:
         raise BoundViolation(
-            f"basket has {b.total_d} exceptional curves, "
+            f"basket has {total_d} exceptional curves, "
             f"bound is {EXCEPTIONAL_CURVE_BOUND}"
         )
-    return smooth_k3_signature() + b.total_d
+    return smooth_k3_signature() + total_d
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,7 @@ class SurfaceModel:
     q: int = 0
 
     def __post_init__(self) -> None:
-        if self.q not in (0, 1, 2):
-            raise ValueError(f"surface irregularity must be 0, 1 or 2, got {self.q}")
-        if self.q > 0 and self.basket.entries:
-            raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")
+        sigma_k3(self.basket, self.q)  # rejects a bad q or basket at construction
 
     @property
     def sigma(self) -> int:
@@ -153,11 +151,7 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     Each tube signature is computed from the negated Cartan matrix of its
     type via the exact form-signature routine, not read off the rank.
     """
-    if b.total_d > EXCEPTIONAL_CURVE_BOUND:
-        raise BoundViolation(
-            f"basket has {b.total_d} exceptional curves, "
-            f"bound is {EXCEPTIONAL_CURVE_BOUND}"
-        )
+    sigma_k3(b)  # enforces the exceptional-curve bound
     tubes = tuple(form_signature(-cartan_matrix(t)).sigma for t in b)
     sigma_res = smooth_k3_signature()
     return NovikovDecomposition(
@@ -188,9 +182,7 @@ def t1_surface(
         )
     if surface is None:
         surface = surface_space()
-    traded = sum(
-        (hodge_class_tree(t.components)[1] for t in basket), Fraction(0)
-    )
+    traded = sum(hodge_class_tree(t.components)[1] for t in basket)
     return FormalClass(
         {
             Generator("pt", 0, surface): m + smooth_k3_signature() - traded,

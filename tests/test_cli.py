@@ -28,6 +28,18 @@ class TestBasketCommand:
         assert "(empty)" in out
         assert "-16" in out
 
+    def test_non_k3_degree_prints_no_sigma(self, capsys):
+        code, out, _ = run(capsys, "basket", "1", "1", "1", "1", "--degree", "5")
+        assert code == EX_OK
+        assert out.splitlines() == [
+            "family: F_5 ⊂ P(1,1,1,1)", "basket: (empty)", "sigma:  -"
+        ]
+        code, out, _ = run(
+            capsys, "basket", "1", "1", "1", "1", "--degree", "5", "--format", "tsv"
+        )
+        assert code == EX_OK
+        assert out.strip().split("\t") == ["F_5 ⊂ P(1,1,1,1)", "-", "-"]
+
     def test_not_well_formed_rejected(self, capsys):
         code, _, err = run(capsys, "basket", "2", "2", "2", "3", "--degree", "9")
         assert code == EX_REJECT

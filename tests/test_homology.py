@@ -66,6 +66,16 @@ class TestFormalClass:
         assert c.degree_part(0) == FormalClass({gen("pt", 0, F): -16})
         assert c.degree_part(2).is_zero
 
+    def test_one_canonical_coefficient_per_value(self):
+        g = gen("pt", 0, F)
+        classes = [FormalClass({g: c}) for c in (3, Fraction(3), Fraction(6, 2))]
+        assert all(c == classes[0] and hash(c) == hash(classes[0]) for c in classes)
+        assert {str(c) for c in classes} == {"3·pt"}
+        assert all(type(c.coefficient(g)) is int for c in classes)
+        assert type(FormalClass({g: Fraction(1, 2)}).scale(2).coefficient(g)) is int
+        assert FormalClass({g: 0.5}).coefficient(g) == Fraction(1, 2)
+        assert FormalClass({g: Fraction(1, 3)}).scale(0.5).coefficient(g) == Fraction(1, 6)
+
     def test_str_uses_lowest_terms(self):
         c = FormalClass({gen("p_*[pt_F×E]", 2, X): Fraction(-11, 2), gen("[X]", 6, X): 1})
         assert str(c) == "-11/2·p_*[pt_F×E] + [X]"

@@ -1,3 +1,4 @@
+from duvalk3 import search
 from duvalk3.ade import ADEType, Basket
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
@@ -72,6 +73,29 @@ class TestEnumerateK3Hypersurfaces:
         weights = [fam.family.weights.a for fam in serial]
         assert weights == sorted(weights)
         assert serial == enumerate_k3_hypersurfaces(12, jobs=2)
+
+    def test_pool_capped_at_cores_and_units(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, units):
+                return [fn(u) for u in units]
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+        serial = enumerate_k3_hypersurfaces(6)
+        assert enumerate_k3_hypersurfaces(6, jobs=10**6) == serial
+        assert enumerate_k3_hypersurfaces(3, jobs=10**6) == enumerate_k3_hypersurfaces(3)
+        assert sizes == [4, 3]
 
     def test_to_row_round_trips_through_catalog_grammar(self):
         from duvalk3.catalog import load_catalog
