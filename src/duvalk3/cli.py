@@ -177,9 +177,9 @@ def _format_set(values) -> str:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.stabilize:
-        families, bound = stabilized_enumeration(start=args.max_weight, jobs=args.jobs)
+        families, bound = stabilized_enumeration(start=args.max_weight)
     else:
-        families = enumerate_k3_hypersurfaces(args.max_weight, jobs=args.jobs)
+        families = enumerate_k3_hypersurfaces(args.max_weight)
         bound = args.max_weight
     if args.target is not None:
         families = [fam for fam in families if fam.sigma == args.target]
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight", type=_positive_int, default=DEFAULT_MAX_WEIGHT)
     p.add_argument("--stabilize", action="store_true",
                    help="raise the bound until the family count stabilizes")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="accepted for compatibility and ignored; the search is serial")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
     p.set_defaults(func=_cmd_search)
 

@@ -2,15 +2,13 @@
 
 Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
-well-formedness and quasismoothness tests.  The enumeration is
-deterministic: workers split on the leading weight and results are merged
-in canonical order, so output never depends on the worker count.
+well-formedness and quasismoothness tests.  One serial loop scans the
+ascending triples (a0, a1, a2) and only the few largest weights a3 that
+quasismoothness allows, so families come out in canonical order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from .ade import ADEType, Basket
@@ -76,27 +74,24 @@ class K3Family:
         )
 
 
-def _families_with_leading(args: tuple[int, int]) -> list[K3Family]:
-    """All passing families with the given smallest weight (worker unit)."""
-    a0, max_weight = args
-    out: list[K3Family] = []
-    for a1 in range(a0, max_weight + 1):
-        for a2 in range(a1, max_weight + 1):
-            for a3 in range(a2, max_weight + 1):
-                w = Weights((a0, a1, a2, a3))
-                if not well_formed(w):
-                    continue
-                f = HypersurfaceFamily.k3(w)
-                if not quasismooth(f):
-                    continue
-                b = basket(f)
-                out.append(K3Family(f, b, sigma_k3(b)))
-    return out
+def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
+    """The a3 in [a2, max_weight] that can pass the vertex linking test.
+
+    `quasismooth`'s k = 1 test on the subset {3} needs a3 | d or
+    a3 | d - a_j for some j < 3 (its `d in a` shortcut never fires, since
+    d = a0+a1+a2+a3 exceeds every weight).  So a3 divides one of
+    n in {a0+a1+a2, a1+a2, a0+a2, a0+a1}; as n <= 3*a2 <= 3*a3, a3 = n/k
+    for some k in {1, 2, 3}.  Every other a3 fails `quasismooth`, so
+    skipping it changes no result.
+    """
+    sums = (a0 + a1 + a2, a1 + a2, a0 + a2, a0 + a1)
+    return sorted(
+        {n // k for n in sums for k in (1, 2, 3)
+         if n % k == 0 and a2 <= n // k <= max_weight}
+    )
 
 
-def enumerate_k3_hypersurfaces(
-    max_weight: int, jobs: int = 1
-) -> list[K3Family]:
+def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     """All weighted K3 hypersurface families with weights <= max_weight.
 
     Weight quadruples are normalized ascending, so each family appears
@@ -104,43 +99,45 @@ def enumerate_k3_hypersurfaces(
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
-    units = [(a0, max_weight) for a0 in range(1, max_weight + 1)]
-    jobs = min(jobs, os.cpu_count() or 1, len(units))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_families_with_leading, units)
-    else:
-        chunks = [_families_with_leading(u) for u in units]
-    families = [fam for chunk in chunks for fam in chunk]
-    families.sort(key=lambda fam: fam.family.weights.a)
+    families: list[K3Family] = []
+    for a0 in range(1, max_weight + 1):
+        for a1 in range(a0, max_weight + 1):
+            for a2 in range(a1, max_weight + 1):
+                for a3 in _largest_weights(a0, a1, a2, max_weight):
+                    w = Weights((a0, a1, a2, a3))
+                    if not well_formed(w):
+                        continue
+                    f = HypersurfaceFamily.k3(w)
+                    if not quasismooth(f):
+                        continue
+                    b = basket(f)
+                    families.append(K3Family(f, b, sigma_k3(b)))
     return families
 
 
-def find_signature(
-    target: int, max_weight: int, jobs: int = 1
-) -> list[K3Family]:
+def find_signature(target: int, max_weight: int) -> list[K3Family]:
     """Families whose general member realizes the target signature."""
     return [
         fam
-        for fam in enumerate_k3_hypersurfaces(max_weight, jobs)
+        for fam in enumerate_k3_hypersurfaces(max_weight)
         if fam.sigma == target
     ]
 
 
 def stabilized_enumeration(
-    start: int = DEFAULT_MAX_WEIGHT, step: int = STABILIZE_STEP, jobs: int = 1
+    start: int = DEFAULT_MAX_WEIGHT, step: int = STABILIZE_STEP
 ) -> tuple[list[K3Family], int]:
     """Raise the weight bound until the family count stops changing.
 
     The bound is increased in fixed steps until two consecutive raises
     leave the count unchanged; returns the final families and bound.
     """
-    families = enumerate_k3_hypersurfaces(start, jobs)
+    families = enumerate_k3_hypersurfaces(start)
     bound = start
     unchanged = 0
     while unchanged < 2:
         bound += step
-        more = enumerate_k3_hypersurfaces(bound, jobs)
+        more = enumerate_k3_hypersurfaces(bound)
         unchanged = unchanged + 1 if len(more) == len(families) else 0
         families = more
     return families, bound

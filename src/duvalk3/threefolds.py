@@ -8,7 +8,7 @@ and Hodge L-class derived along two independent routes, which must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -83,13 +83,11 @@ class SurfaceModel:
 
     basket: Basket = Basket()
     q: int = 0
+    sigma: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sigma_k3(self.basket, self.q)  # rejects a bad q or basket at construction
-
-    @property
-    def sigma(self) -> int:
-        return sigma_k3(self.basket, self.q)
+        # rejects a bad q or basket at construction
+        object.__setattr__(self, "sigma", sigma_k3(self.basket, self.q))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-from duvalk3 import search
+import itertools
+
 from duvalk3.ade import ADEType, Basket
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
@@ -7,6 +8,7 @@ from duvalk3.search import (
     find_signature,
 )
 from duvalk3.threefolds import sigma_k3
+from duvalk3.wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 
 def count_baskets_oracle(max_total):
@@ -72,30 +74,24 @@ class TestEnumerateK3Hypersurfaces:
         serial = enumerate_k3_hypersurfaces(12)
         weights = [fam.family.weights.a for fam in serial]
         assert weights == sorted(weights)
-        assert serial == enumerate_k3_hypersurfaces(12, jobs=2)
 
-    def test_pool_capped_at_cores_and_units(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, units):
-                return [fn(u) for u in units]
-
-        monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
-        monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-        serial = enumerate_k3_hypersurfaces(6)
-        assert enumerate_k3_hypersurfaces(6, jobs=10**6) == serial
-        assert enumerate_k3_hypersurfaces(3, jobs=10**6) == enumerate_k3_hypersurfaces(3)
-        assert sizes == [4, 3]
+    def test_pruned_sweep_matches_brute_force_oracle(self):
+        # every ascending quadruple, with no pruning of the largest weight
+        expected = []
+        for a in itertools.combinations_with_replacement(range(1, 25), 4):
+            w = Weights(a)
+            if not well_formed(w):
+                continue
+            f = HypersurfaceFamily.k3(w)
+            if not quasismooth(f):
+                continue
+            b = basket(f)
+            expected.append((a, f.degree, b, sigma_k3(b)))
+        got = [
+            (fam.family.weights.a, fam.family.degree, fam.basket, fam.sigma)
+            for fam in enumerate_k3_hypersurfaces(24)
+        ]
+        assert got == expected
 
     def test_to_row_round_trips_through_catalog_grammar(self):
         from duvalk3.catalog import load_catalog

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from duvalk3 import threefolds
 from duvalk3.ade import Basket, DynkinGraph
 from duvalk3.homology import Generator, SpaceLabel, transfer
 from duvalk3.threefolds import (
@@ -195,6 +196,18 @@ class TestBsyCheck:
         assert report.passed
         assert report.hodge_route == _expected_q1(-11, 2)
         assert report.topological_route == _expected_q1(-11, 2)
+
+    def test_q1_computes_fiber_sigma_once(self, monkeypatch):
+        calls = []
+
+        def counting_sigma_k3(*args):
+            calls.append(args)
+            return sigma_k3(*args)
+
+        monkeypatch.setattr(threefolds, "sigma_k3", counting_sigma_k3)
+        k = KawamataDiagram(1, 2, SurfaceModel(Basket.parse("5A_1")))
+        assert bsy_check(k).fiber_sigma == -11
+        assert len(calls) == 1
 
     def test_q1_with_irregular_fiber(self):
         k = KawamataDiagram(1, 3, SurfaceModel(q=1))
