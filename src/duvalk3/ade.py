@@ -1,14 +1,15 @@
 """Dynkin graphs, Cartan matrices, plumbing forms, and exact form signatures.
 
-Everything here is integer or rational arithmetic; no floating point is used
-anywhere, so signatures of degenerate forms come out exact.
+Everything here is integer arithmetic: signatures come from integer Schur
+complements (Bareiss), with no fractions and no floating point, so even
+degenerate forms get exact inertia.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Iterator
 
 # Construction cap for Cartan matrices / standard graphs.  The geometric
@@ -47,10 +48,23 @@ class ADEType:
     @classmethod
     def parse(cls, token: str) -> "ADEType":
         """Parse a single type token such as ``A_2`` or ``D4``."""
-        m = _TOKEN_RE.match(token.strip())
-        if not m or m.group(1):
+        mult, t = _parse_token(token)
+        if mult is not None:
             raise ValueError(f"bad ADE type token {token!r}")
-        return cls(m.group(2), int(m.group(3)))
+        return t
+
+
+def _parse_token(token: str) -> tuple[int | None, ADEType]:
+    """``3A_2`` -> (3, A_2) and ``A_2`` -> (None, A_2); a multiplicity is
+    refused before any expansion when it brings more than RANK_CAP curves."""
+    m = _TOKEN_RE.match(token.strip())
+    if not m:
+        raise ValueError(f"bad ADE type token {token!r}")
+    t = ADEType(m.group(2), int(m.group(3)))
+    mult = int(m.group(1)) if m.group(1) else None
+    if mult is not None and not 1 <= mult * t.rank <= RANK_CAP:
+        raise ValueError(f"{token!r} has {mult * t.rank} curves, outside [1, {RANK_CAP}]")
+    return mult, t
 
 
 @dataclass(frozen=True)
@@ -69,13 +83,7 @@ class Basket:
 
     def counts(self) -> list[tuple[ADEType, int]]:
         """Entries grouped as (type, multiplicity) in canonical order."""
-        out: list[tuple[ADEType, int]] = []
-        for t in self.entries:
-            if out and out[-1][0] == t:
-                out[-1] = (t, out[-1][1] + 1)
-            else:
-                out.append((t, 1))
-        return out
+        return [(t, len(list(run))) for t, run in groupby(self.entries)]
 
     def tokens(self) -> str:
         """Multiplicity-prefixed tokens, e.g. ``3A_2 A_4``; ``-`` if empty."""
@@ -93,13 +101,8 @@ class Basket:
             return cls()
         entries: list[ADEType] = []
         for token in text.split():
-            m = _TOKEN_RE.match(token)
-            if not m:
-                raise ValueError(f"bad basket token {token!r}")
-            mult = int(m.group(1)) if m.group(1) else 1
-            if mult < 1:
-                raise ValueError(f"bad multiplicity in token {token!r}")
-            entries.extend([ADEType(m.group(2), int(m.group(3)))] * mult)
+            mult, t = _parse_token(token)
+            entries.extend([t] * (mult or 1))
         return cls(tuple(entries))
 
     def __iter__(self) -> Iterator[ADEType]:
@@ -263,76 +266,48 @@ def plumbing_form(g: DynkinGraph) -> SymIntForm:
 
 
 def form_signature(q: SymIntForm) -> FormSignature:
-    """Exact inertia of a symmetric integer form.
+    """Exact inertia of a symmetric integer form by integer Schur complements.
 
-    Congruence diagonalization over rationals with symmetric pivoting;
-    when the remaining block has an all-zero diagonal but a nonzero
-    off-diagonal entry, a hyperbolic 2x2 block is split off, contributing
-    one positive and one negative eigenvalue.
+    Bareiss-style elimination: ``a`` is the block not yet split off and
+    ``p`` the determinant of ``q`` on the pivots taken so far (1 at the
+    start).  Invariant: every entry of ``a`` is ``p`` times the rational
+    Schur complement, i.e. a bordered minor of ``q``, so each ``//`` below
+    divides exactly (Sylvester's determinant identity) and entries stay
+    polynomially sized.  A nonzero diagonal pivot d splits off a square of
+    sign d/p; on an all-zero diagonal a nonzero entry e splits off a
+    hyperbolic plane (one positive, one negative); a zero block is the
+    radical.
     """
-    n = q.dim
-    a = [[Fraction(x) for x in row] for row in q.entries]
-    pos = neg = zer = 0
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    i = 0
-    while i < n:
-        # prefer a nonzero diagonal pivot
-        k = next((k for k in range(i, n) if a[k][k] != 0), None)
+    a = [list(row) for row in q.entries]
+    p = 1
+    pos = neg = 0
+    while a:
+        n = len(a)
+        k = next((k for k in range(n) if a[k][k]), None)
         if k is not None:
-            if k != i:
-                swap(i, k)
-            d = a[i][i]
-            for r in range(i + 1, n):
-                f = a[r][i] / d
-                if f:
-                    for c in range(i, n):
-                        a[r][c] -= f * a[i][c]
-            for r in range(i + 1, n):  # symmetric column clearing
-                f = a[i][r] / d
-                if f:
-                    for c in range(i, n):
-                        a[c][r] -= f * a[c][i]
-            if d > 0:
+            d = a[k][k]
+            if (d > 0) == (p > 0):
                 pos += 1
             else:
                 neg += 1
-            i += 1
+            rest = [i for i in range(n) if i != k]
+            a = [[(d * a[t][c] - a[t][k] * a[k][c]) // p for c in rest] for t in rest]
+            p = d
             continue
-        # all-zero diagonal: find an off-diagonal entry
-        off = next(
-            ((r, s) for r in range(i, n) for s in range(r + 1, n) if a[r][s] != 0),
-            None,
-        )
+        off = next(((r, s) for r in range(n) for s in range(r + 1, n) if a[r][s]), None)
         if off is None:
-            zer += n - i
             break
         r, s = off
-        if r != i:
-            swap(i, r)
-        if s != i + 1:
-            swap(i + 1, s)
-        e = a[i][i + 1]
-        for t in range(i + 2, n):
-            f0 = a[t][i + 1] / e
-            f1 = a[t][i] / e
-            if f0 or f1:
-                for c in range(i, n):
-                    a[t][c] -= f0 * a[i][c] + f1 * a[i + 1][c]
-        for t in range(i + 2, n):  # symmetric column clearing
-            f0 = a[i + 1][t] / e
-            f1 = a[i][t] / e
-            if f0 or f1:
-                for c in range(i, n):
-                    a[c][t] -= f0 * a[c][i] + f1 * a[c][i + 1]
+        e = a[r][s]
         pos += 1
         neg += 1
-        i += 2
-    return FormSignature(pos, neg, zer)
+        rest = [i for i in range(n) if i != r and i != s]
+        a = [
+            [e * (a[t][r] * a[s][c] + a[t][s] * a[r][c] - e * a[t][c]) // (p * p) for c in rest]
+            for t in rest
+        ]
+        p = -e * e // p
+    return FormSignature(pos, neg, q.dim - pos - neg)
 
 
 def is_negative_definite(q: SymIntForm) -> bool:

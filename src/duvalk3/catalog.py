@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .ade import Basket
-from .threefolds import EXCEPTIONAL_CURVE_BOUND, sigma_k3, smooth_k3_signature
+from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
 from . import wps
 
 _DATA_RESOURCE = "realization_table.txt"
@@ -63,11 +63,12 @@ class CatalogRow:
                 f"{self.name}: canonical triviality needs "
                 "sum(degrees) = sum(weights)"
             )
-        if self.basket.total_d > EXCEPTIONAL_CURVE_BOUND:
+        try:
+            expected = sigma_k3(self.basket)
+        except BoundViolation:
             raise InvariantViolation(
                 f"{self.name}: basket exceeds {EXCEPTIONAL_CURVE_BOUND} curves"
-            )
-        expected = smooth_k3_signature() + self.basket.total_d
+            ) from None
         if self.sigma != expected:
             raise InvariantViolation(
                 f"{self.name}: sigma {self.sigma} != -16 + total_d = {expected}"

@@ -178,15 +178,16 @@ def t1_surface(
         raise BasketPointCountMismatch(
             f"basket has {len(basket)} entries but m = {m} points were declared"
         )
-    if surface is None:
-        surface = surface_space()
     traded = sum(hodge_class_tree(t.components)[1] for t in basket)
-    return FormalClass(
-        {
-            Generator("pt", 0, surface): m + smooth_k3_signature() - traded,
-            Generator(f"[{surface.name}]", 4, surface): 1,
-        }
+    return l_class_surface(
+        m + smooth_k3_signature() - traded, surface or surface_space()
     )
+
+
+# X and the two generators of its classes, shared by every cover
+_X_SPACE = SpaceLabel("X", 6)
+_FUND_X = Generator("[X]", 6, _X_SPACE)
+_PUSHED_PT = Generator("p_*[pt_F×E]", 2, _X_SPACE)
 
 
 def _fiber_dimensions(q: int) -> tuple[int, int]:
@@ -210,25 +211,22 @@ def _cover_for(q: int, d: int) -> tuple[SpaceLabel, SpaceLabel, CoveringMap]:
     fdim, edim = _fiber_dimensions(q)
     f_space = SpaceLabel("F", fdim)
     e_space = SpaceLabel("E", edim)
-    x_space = SpaceLabel("X", 6)
 
     fund_f = Generator(f"[{f_space.name}]", fdim, f_space)
     fund_e = Generator(f"[{e_space.name}]", edim, e_space)
     fund_fe = product_generator(fund_f, fund_e)
-    fund_x = Generator(f"[{x_space.name}]", 6, x_space)
 
-    push = {fund_fe: FormalClass({fund_x: d})}
-    pull = {fund_x: FormalClass({fund_fe: 1})}
+    push = {fund_fe: FormalClass({_FUND_X: d})}
+    pull = {_FUND_X: FormalClass({fund_fe: 1})}
     if q == 1:
         pt_f = Generator("pt", 0, f_space)
         pt_e_gen = product_generator(pt_f, fund_e)
-        mid = Generator("p_*[pt_F×E]", edim, x_space)
-        push[pt_e_gen] = FormalClass({mid: 1})
-        pull[mid] = FormalClass({pt_e_gen: d})
+        push[pt_e_gen] = FormalClass({_PUSHED_PT: 1})
+        pull[_PUSHED_PT] = FormalClass({pt_e_gen: d})
 
     cover = CoveringMap(
         source=product_space(f_space, e_space),
-        target=x_space,
+        target=_X_SPACE,
         degree=d,
         pushforward_table=push,
         transfer_table=pull,
@@ -242,13 +240,9 @@ def threefold_lclass(k: KawamataDiagram) -> FormalClass:
     For q = 1 this is sigma(F)/degree times the pushed-down point-times-
     torus class plus [X]; for q = 2, 3 only the fundamental class remains.
     """
-    x_space = SpaceLabel("X", 6)
-    fund_x = Generator(f"[{x_space.name}]", 6, x_space)
     if k.q != 1:
-        return FormalClass({fund_x: 1})
-    sigma = k.fiber.sigma
-    mid = Generator("p_*[pt_F×E]", 2, x_space)
-    return FormalClass({mid: Fraction(sigma, k.cover_degree), fund_x: 1})
+        return FormalClass({_FUND_X: 1})
+    return FormalClass({_PUSHED_PT: Fraction(k.fiber.sigma, k.cover_degree), _FUND_X: 1})
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,8 @@
 """Independent signature oracle: Sturm-sequence sign counting on the
 characteristic polynomial.
 
-Kept deliberately separate from the production path (congruence
-diagonalization): the only shared code is the matrix container.
+Kept deliberately separate from the production path (integer Schur
+complements, Bareiss): the only shared code is the matrix container.
 Polynomials are coefficient lists over Fraction, lowest degree first.
 """
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,15 @@ class TestBasket:
         with pytest.raises(ValueError):
             Basket.parse("A_1 Q_3")
 
+    @pytest.mark.parametrize("token", ["65A_1", "1000A_1", "17A_4", "0A_1"])
+    def test_parse_caps_multiplicity_before_expanding(self, token):
+        with pytest.raises(ValueError, match=r"outside \[1, 64\]"):
+            Basket.parse(token)
+
+    def test_parse_multiplicity_at_cap(self):
+        assert Basket.parse("64A_1").total_d == 64
+        assert Basket.parse("16A_4").total_d == 64
+
 
 class TestDynkinGraph:
     def test_rejects_self_loop_and_duplicates(self):
@@ -171,6 +181,10 @@ class TestFormSignature:
     def test_examples(self):
         assert form_signature(SymIntForm(((2,),))) == FormSignature(1, 0, 0)
         assert form_signature(SymIntForm.diagonal((1, -1, 0))) == FormSignature(1, 1, 1)
+        # a square split off, then a hyperbolic plane, with p = 1 and p = -1
+        q = SymIntForm(((1, 1, 1), (1, 1, 0), (1, 0, 1)))
+        assert form_signature(q) == FormSignature(2, 1, 0)
+        assert form_signature(-q) == FormSignature(1, 2, 0)
 
     def test_negative_cartan_all_ranks(self):
         for t in all_types(20):
@@ -214,13 +228,22 @@ def symmetric_forms(max_dim=5, bound=3):
 
 
 class TestSignatureProperties:
+    @staticmethod
+    def check_exhaustive(dim, values):
+        upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+        for entries in product(values, repeat=len(upper)):
+            m = [[0] * dim for _ in range(dim)]
+            for (i, j), x in zip(upper, entries):
+                m[i][j] = m[j][i] = x
+            q = SymIntForm(tuple(map(tuple, m)))
+            assert form_signature(q) == signature_oracle(q), q.entries
+
     def test_exhaustive_dim_2(self):
-        values = range(-3, 4)
-        for a in values:
-            for b in values:
-                for c in values:
-                    q = SymIntForm(((a, b), (b, c)))
-                    assert form_signature(q) == signature_oracle(q), q.entries
+        self.check_exhaustive(2, range(-3, 4))
+
+    def test_exhaustive_dim_3(self):
+        # all 729 forms; reaches the hyperbolic step after a pivot, p > 0 and p < 0
+        self.check_exhaustive(3, range(-1, 2))
 
     @settings(max_examples=300, deadline=None)
     @given(symmetric_forms())

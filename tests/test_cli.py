@@ -96,6 +96,11 @@ class TestSigmaCommand:
         assert code == EX_REJECT
         assert "19" in err
 
+    def test_multiplicity_past_rank_cap_is_usage_error(self, capsys):
+        assert run(capsys, "sigma", "A_65")[0] == EX_USAGE
+        assert run(capsys, "sigma", "65A_1")[0] == EX_USAGE
+        assert run(capsys, "sigma", "20A_1")[0] == EX_REJECT
+
 
 class TestPlumbingCommand:
     def test_prints_form_and_signature(self, capsys):
@@ -129,6 +134,13 @@ class TestTableVerify:
         code, _, err = run(capsys, "table", "verify", "--catalog", "missing.txt")
         assert code == EX_NOINPUT
         assert "cannot open" in err
+
+    def test_multiplicity_past_rank_cap_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "big.txt"
+        bad.write_text("X | 1,1,1,1 | 4 | 1000A_1 | 984\n", encoding="utf-8")
+        code, _, err = run(capsys, "table", "verify", "--catalog", str(bad))
+        assert code == EX_DATAERR
+        assert "outside [1, 64]" in err
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
