@@ -40,7 +40,6 @@ from .homology import (
     transfer,
 )
 from .threefolds import (
-    BasketPointCountMismatch,
     BoundViolation,
     BsyReport,
     KawamataDiagram,

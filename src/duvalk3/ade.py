@@ -242,15 +242,8 @@ class FormSignature:
 
 
 def cartan_matrix(t: ADEType) -> SymIntForm:
-    """The Cartan matrix: 2 on the diagonal, -1 across each tree edge."""
-    g = standard_dynkin_graph(t)
-    n = g.n_vertices
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 2
-    for i, j in g.edges:
-        m[i][j] = m[j][i] = -1
-    return SymIntForm(tuple(tuple(row) for row in m))
+    """The Cartan matrix, 2 on the diagonal and -1 per edge: the negated plumbing form."""
+    return -plumbing_form(standard_dynkin_graph(t))
 
 
 def plumbing_form(g: DynkinGraph) -> SymIntForm:

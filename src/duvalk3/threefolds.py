@@ -1,9 +1,9 @@
 """Surface signatures, Novikov bookkeeping, and the 3-fold L-class check.
 
 The pipeline: a du Val surface with trivial canonical class and q = 0 has
-signature -16 + sum(d_i) over its basket; a 3-fold covered by a product
-F x E of such a surface (or a curve/point) with a torus has its L-class
-and Hodge L-class derived along two independent routes, which must agree.
+signature -16 + sum(d_i) over its basket.  A 3-fold covered by F x E (F
+such a surface, a curve or a point; E a torus) has its class pushed down
+along a Hodge and a topological route, which differ only in the fiber class.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
-from .ade import Basket, DynkinGraph, cartan_matrix, form_signature, standard_dynkin_graph
+from .ade import Basket, form_signature, plumbing_form, standard_dynkin_graph
 from .homology import (
     CoveringMap,
     FormalClass,
@@ -38,10 +37,6 @@ EXCEPTIONAL_CURVE_BOUND = 19
 
 class BoundViolation(ValueError):
     """A basket exceeds the exceptional-curve bound for K3 surfaces."""
-
-
-class BasketPointCountMismatch(ValueError):
-    """The declared singular-point count disagrees with the basket."""
 
 
 def signature_from_hodge(h20: int, h11: int) -> int:
@@ -146,11 +141,12 @@ class NovikovDecomposition:
 def novikov_assembly(b: Basket) -> NovikovDecomposition:
     """Decompose the K3 resolution signature along a basket.
 
-    Each tube signature is computed from the negated Cartan matrix of its
-    type via the exact form-signature routine, not read off the rank.
+    Each tube signature is the exact signature of its plumbing form, the
+    intersection form of the tube (the negated Cartan matrix of its type),
+    not read off the rank.
     """
     sigma_k3(b)  # enforces the exceptional-curve bound
-    tubes = tuple(form_signature(-cartan_matrix(t)).sigma for t in b)
+    tubes = tuple(form_signature(plumbing_form(standard_dynkin_graph(t))).sigma for t in b)
     sigma_res = smooth_k3_signature()
     return NovikovDecomposition(
         sigma_resolution=sigma_res,
@@ -160,78 +156,59 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     )
 
 
-def surface_space(name: str = "F") -> SpaceLabel:
-    return SpaceLabel(name, 4)
+# the K3 surface F, X and the two generators of X's classes, built once
+_SURFACE = SpaceLabel("F", 4)
+_X_SPACE = SpaceLabel("X", 6)
+_FUND_X = Generator("[X]", 6, _X_SPACE)
+_PUSHED_PT = Generator("p_*[pt_F×E]", 2, _X_SPACE)
 
 
-def t1_surface(
-    basket: Basket, m: int, surface: SpaceLabel | None = None
-) -> FormalClass:
-    """Hodge L-class of a du Val K3 surface with m singular points.
+def surface_space() -> SpaceLabel:
+    return _SURFACE
+
+
+def t1_surface(basket: Basket) -> FormalClass:
+    """Hodge L-class of a du Val K3 surface with m = len(basket) singular points.
 
     Replays the scissor computation: the resolution contributes
     (m - 16)[pt] + [F], and each exceptional tree of d_i curves is traded
     for its degree-0 Hodge class -(d_i - 1)[pt].  The result must agree
     with the topological L-class sigma·[pt] + [F].
     """
-    if m != len(basket):
-        raise BasketPointCountMismatch(
-            f"basket has {len(basket)} entries but m = {m} points were declared"
-        )
     traded = sum(hodge_class_tree(t.components)[1] for t in basket)
-    return l_class_surface(
-        m + smooth_k3_signature() - traded, surface or surface_space()
-    )
-
-
-# X and the two generators of its classes, shared by every cover
-_X_SPACE = SpaceLabel("X", 6)
-_FUND_X = Generator("[X]", 6, _X_SPACE)
-_PUSHED_PT = Generator("p_*[pt_F×E]", 2, _X_SPACE)
-
-
-def _fiber_dimensions(q: int) -> tuple[int, int]:
-    # (dim F, dim E); E is the covering torus over the Albanese variety
-    return {1: (4, 2), 2: (2, 4), 3: (0, 6)}[q]
-
-
-def kawamata_cover(k: KawamataDiagram) -> tuple[SpaceLabel, SpaceLabel, CoveringMap]:
-    """Spaces and the covering map p: F x E -> X of a Kawamata diagram.
-
-    Pushforward sends the product fundamental class to degree·[X] and the
-    point-times-torus class to the named generator p_*[pt_F×E]; the
-    transfer table is the unique one compatible with p_* p_! = degree.
-    """
-    return _cover_for(k.q, k.cover_degree)
+    return l_class_surface(len(basket) + smooth_k3_signature() - traded, surface_space())
 
 
 @lru_cache(maxsize=None)
-def _cover_for(q: int, d: int) -> tuple[SpaceLabel, SpaceLabel, CoveringMap]:
-    # covering scenarios are immutable values determined by (q, degree)
-    fdim, edim = _fiber_dimensions(q)
-    f_space = SpaceLabel("F", fdim)
-    e_space = SpaceLabel("E", edim)
+def kawamata_cover(q: int, degree: int) -> tuple[SpaceLabel, SpaceLabel, CoveringMap]:
+    """Spaces F, E and the covering map p: F x E -> X of a 3-fold with q(X) = q.
 
-    fund_f = Generator(f"[{f_space.name}]", fdim, f_space)
-    fund_e = Generator(f"[{e_space.name}]", edim, e_space)
-    fund_fe = product_generator(fund_f, fund_e)
+    F is the fiber, of dimension 6 - 2q; E is the torus of dimension 2q
+    covering the q-dimensional Albanese variety.  Pushforward sends the
+    product fundamental class to degree·[X] and, for a surface fiber, the
+    point-times-torus class to the named generator p_*[pt_F×E]; the
+    transfer table is the unique one compatible with p_* p_! = degree.
+    Cached: a cover is an immutable value depending only on (q, degree).
+    """
+    f_space = SpaceLabel("F", 6 - 2 * q)
+    e_space = SpaceLabel("E", 2 * q)
+    fund_e = Generator("[E]", e_space.dim, e_space)
+    fund_fe = product_generator(Generator("[F]", f_space.dim, f_space), fund_e)
 
-    push = {fund_fe: FormalClass({_FUND_X: d})}
+    push = {fund_fe: FormalClass({_FUND_X: degree})}
     pull = {_FUND_X: FormalClass({fund_fe: 1})}
     if q == 1:
-        pt_f = Generator("pt", 0, f_space)
-        pt_e_gen = product_generator(pt_f, fund_e)
-        push[pt_e_gen] = FormalClass({_PUSHED_PT: 1})
-        pull[_PUSHED_PT] = FormalClass({pt_e_gen: d})
+        pt_e = product_generator(Generator("pt", 0, f_space), fund_e)
+        push[pt_e] = FormalClass({_PUSHED_PT: 1})
+        pull[_PUSHED_PT] = FormalClass({pt_e: degree})
 
-    cover = CoveringMap(
+    return f_space, e_space, CoveringMap(
         source=product_space(f_space, e_space),
         target=_X_SPACE,
-        degree=d,
+        degree=degree,
         pushforward_table=push,
         transfer_table=pull,
     )
-    return f_space, e_space, cover
 
 
 def threefold_lclass(k: KawamataDiagram) -> FormalClass:
@@ -276,36 +253,25 @@ class BsyReport:
 def bsy_check(k: KawamataDiagram) -> BsyReport:
     """Derive the 3-fold class along the Hodge and topological routes.
 
-    Topological: multiply surface and torus L-classes, push forward, and
-    divide by the covering degree.  Hodge: same shape, but the surface
-    class is rebuilt from the scissor computation.  Both must equal the
-    closed-form class term for term.
+    Both routes multiply a fiber class by the torus class [E], push
+    forward along the cover and divide by its degree; they differ only in
+    the fiber class.  Topological: the L-class of F.  Hodge: for a
+    singular (q(F) = 0) surface, the class rebuilt from the scissor
+    computation; any other fiber is nonsingular with signature 0.  Both
+    must equal the closed-form class term for term.
     """
-    f_space, e_space, cover = kawamata_cover(k)
-    d = k.cover_degree
-
-    if k.q == 1:
-        fiber = k.fiber
-        sigma_f = fiber.sigma
-        l_fiber = l_class_surface(sigma_f, f_space)
-        if fiber.q == 0:
-            t_fiber = t1_surface(fiber.basket, len(fiber.basket), f_space)
-        else:
-            t_fiber = fundamental_class(f_space)  # nonsingular, sigma = 0
-    else:
-        sigma_f = 0
-        l_fiber = fundamental_class(f_space)
-        t_fiber = fundamental_class(f_space)
-
-    # the torus factor is smooth with zero signature in every dimension
-    l_torus = fundamental_class(e_space)
-    t_torus = l_torus
-
-    topological = pushforward(cover, product_class(l_fiber, l_torus)).scale(
-        Fraction(1, d)
+    f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
+    fiber = k.fiber
+    surface = fiber is not None
+    sigma_f = fiber.sigma if surface else 0
+    l_fiber = l_class_surface(sigma_f, f_space) if surface else fundamental_class(f_space)
+    singular = surface and fiber.q == 0
+    t_fiber = t1_surface(fiber.basket) if singular else fundamental_class(f_space)
+    torus = fundamental_class(e_space)  # smooth, signature 0 in every dimension
+    hodge, topological = (
+        pushforward(cover, product_class(c, torus)).scale(Fraction(1, k.cover_degree))
+        for c in (t_fiber, l_fiber)
     )
-    hodge = pushforward(cover, product_class(t_fiber, t_torus)).scale(Fraction(1, d))
-
     return BsyReport(
         diagram=k,
         fiber_sigma=sigma_f,
@@ -315,15 +281,8 @@ def bsy_check(k: KawamataDiagram) -> BsyReport:
     )
 
 
-def rational_homology_manifold_check(
-    b: Basket, graphs: Iterable[DynkinGraph] | None = None
-) -> bool:
+def rational_homology_manifold_check(b: Basket) -> bool:
     """True iff every exceptional configuration is a tree of rational
-    curves, so the singular surface is a rational homology manifold.
-
-    ADE dual graphs always are; an explicit graph list can be supplied to
-    exercise the tree test itself.
-    """
-    if graphs is None:
-        graphs = (standard_dynkin_graph(t) for t in b)
-    return all(g.is_tree() for g in graphs)
+    curves, so the singular surface is a rational homology manifold; ADE
+    dual graphs always are."""
+    return all(standard_dynkin_graph(t).is_tree() for t in b)

@@ -111,11 +111,10 @@ def _reachable_mask(weights: tuple[int, ...], d: int) -> int:
     m = 1
     limit = (1 << (d + 1)) - 1
     for w in weights:
-        while True:
-            nm = m | ((m << w) & limit)
-            if nm == m:
-                break
-            m = nm
+        # every multiple jw <= d is a sum of distinct shifts 2^i w
+        while w <= d:
+            m |= (m << w) & limit
+            w *= 2
     return m
 
 

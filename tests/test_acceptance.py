@@ -144,7 +144,7 @@ def test_criterion_4_hodge_equals_topological_surfaces(all_baskets):
     failures = [
         basket.tokens()
         for basket, sigma in all_baskets
-        if t1_surface(basket, len(basket), surface) != l_class_surface(sigma, surface)
+        if t1_surface(basket) != l_class_surface(sigma, surface)
     ]
     report(
         4,
@@ -233,7 +233,7 @@ def test_criterion_6_transfer_laws(all_baskets):
     for degree in range(1, 13):
         for basket in sample:
             k = KawamataDiagram(1, degree, SurfaceModel(basket))
-            f_space, e_space, cover = kawamata_cover(k)
+            f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
             product = product_class(
                 l_class_surface(sigma_k3(basket), f_space),
                 fundamental_class(e_space),
@@ -243,7 +243,7 @@ def test_criterion_6_transfer_laws(all_baskets):
             vrr_checked += 1
         for q in (2, 3):
             k = KawamataDiagram(q, degree)
-            f_space, e_space, cover = kawamata_cover(k)
+            f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
             product = product_class(
                 fundamental_class(f_space), fundamental_class(e_space)
             )

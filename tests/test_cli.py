@@ -1,3 +1,5 @@
+import pytest
+
 from duvalk3.cli import (
     CATALOG_ENV,
     EX_DATAERR,
@@ -69,6 +71,13 @@ class TestBasketCommand:
         )
         assert code == EX_OK
         assert out.strip().split("\t") == ["F_10 ⊂ P(1,2,2,5)", "5A_1", "-11"]
+
+
+    def test_huge_degree_finishes(self, capsys):
+        # the reachability mask doubles its shifts, so d = 10^6 is quick
+        code, out, _ = run(capsys, "basket", "1", "1", "1", "2", "--degree", "1000000")
+        assert code == EX_OK
+        assert "basket: (empty)" in out.splitlines()
 
 
 class TestSigmaCommand:
@@ -182,6 +191,66 @@ class TestBsyCommand:
         code, out, _ = run(capsys, "bsy", "--q", "3")
         assert code == EX_OK
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (
+                ("--q", "1", "--basket", "5A_1", "--degree", "2"),
+                [
+                    "q(X) = 1, cover degree 2, fiber: surface with basket 5A_1, q(F)=0",
+                    "sigma(fiber) = -11",
+                    "Hodge route:       T(X) = -11/2·p_*[pt_F×E] + [X]",
+                    "topological route: L(X) = -11/2·p_*[pt_F×E] + [X]",
+                    "verdict: PASS",
+                ],
+            ),
+            (
+                ("--q", "1", "--fiber-q", "2", "--degree", "3"),
+                [
+                    "q(X) = 1, cover degree 3, fiber: surface with basket -, q(F)=2",
+                    "sigma(fiber) = 0",
+                    "Hodge route:       T(X) = [X]",
+                    "topological route: L(X) = [X]",
+                    "verdict: PASS",
+                ],
+            ),
+            (
+                ("--q", "2", "--degree", "4"),
+                [
+                    "q(X) = 2, cover degree 4, fiber: curve",
+                    "sigma(fiber) = 0",
+                    "Hodge route:       T(X) = [X]",
+                    "topological route: L(X) = [X]",
+                    "verdict: PASS",
+                ],
+            ),
+            (
+                ("--q", "3"),
+                [
+                    "q(X) = 3, cover degree 1, fiber: point",
+                    "sigma(fiber) = 0",
+                    "Hodge route:       T(X) = [X]",
+                    "topological route: L(X) = [X]",
+                    "verdict: PASS",
+                ],
+            ),
+            (
+                ("--q", "1", "--basket", "-", "--degree", "7"),
+                [
+                    "q(X) = 1, cover degree 7, fiber: surface with basket -, q(F)=0",
+                    "sigma(fiber) = -16",
+                    "Hodge route:       T(X) = -16/7·p_*[pt_F×E] + [X]",
+                    "topological route: L(X) = -16/7·p_*[pt_F×E] + [X]",
+                    "verdict: PASS",
+                ],
+            ),
+        ],
+    )
+    def test_whole_stdout(self, capsys, argv, lines):
+        code, out, _ = run(capsys, "bsy", *argv)
+        assert code == EX_OK
+        assert out == "\n".join(lines) + "\n"
 
     def test_invalid_q_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "bsy", "--q", "4")

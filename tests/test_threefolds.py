@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from duvalk3 import threefolds
-from duvalk3.ade import Basket, DynkinGraph
+from duvalk3.ade import Basket
 from duvalk3.homology import Generator, SpaceLabel, transfer
 from duvalk3.threefolds import (
-    BasketPointCountMismatch,
     BoundViolation,
     KawamataDiagram,
     NovikovDecomposition,
@@ -131,26 +130,31 @@ class TestNovikovAssembly:
 class TestT1Surface:
     def test_smooth_case(self):
         F = surface_space()
-        assert t1_surface(Basket(), 0) == l_class_surface(-16, F)
+        assert t1_surface(Basket()) == l_class_surface(-16, F)
 
     def test_five_a1(self):
-        c = t1_surface(Basket.parse("5A_1"), 5)
+        c = t1_surface(Basket.parse("5A_1"))
         F = surface_space()
         assert c.coefficient(Generator("pt", 0, F)) == -11
         assert c == l_class_surface(-11, F)
 
     def test_table_f30_row(self):
-        c = t1_surface(Basket.parse("A_1 A_7 A_10"), 3)
+        c = t1_surface(Basket.parse("A_1 A_7 A_10"))
         assert c == l_class_surface(2, surface_space())
-
-    def test_point_count_mismatch(self):
-        with pytest.raises(BasketPointCountMismatch):
-            t1_surface(Basket.parse("5A_1"), 4)
 
     def test_agrees_with_l_class_on_small_baskets(self):
         F = surface_space()
         for b, sigma in enumerate_baskets(6):
-            assert t1_surface(b, len(b)) == l_class_surface(sigma, F)
+            assert t1_surface(b) == l_class_surface(sigma, F)
+
+
+class TestKawamataCover:
+    def test_dimensions_and_cache(self):
+        for q in (1, 2, 3):
+            f_space, e_space, cover = kawamata_cover(q, 3)
+            assert (f_space, e_space) == (SpaceLabel("F", 6 - 2 * q), SpaceLabel("E", 2 * q))
+            assert cover.degree == 3
+            assert kawamata_cover(q, 3) is kawamata_cover(q, 3)
 
 
 class TestThreefoldLClass:
@@ -236,7 +240,7 @@ class TestBsyCheck:
 
         for d in (1, 2, 5):
             k = KawamataDiagram(1, d, SurfaceModel(Basket.parse("A_2 A_3")))
-            f_space, e_space, cover = kawamata_cover(k)
+            f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
             lx = threefold_lclass(k)
             lfe = product_class(
                 l_class_surface(k.fiber.sigma, f_space), fundamental_class(e_space)
@@ -250,7 +254,7 @@ class TestBsyCheck:
         for d in (1, 3, 8):
             for tokens in ("-", "5A_1", "A_1 A_7 A_10"):
                 k = KawamataDiagram(1, d, SurfaceModel(Basket.parse(tokens)))
-                f_space, e_space, cover = kawamata_cover(k)
+                f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
                 lfe = product_class(
                     l_class_surface(k.fiber.sigma, f_space),
                     fundamental_class(e_space),
@@ -262,7 +266,3 @@ class TestRationalHomologyManifoldCheck:
     def test_ade_baskets_pass(self):
         assert rational_homology_manifold_check(Basket.parse("A_5"))
         assert rational_homology_manifold_check(Basket.parse("E_8 D_4"))
-
-    def test_synthetic_cycle_fails(self):
-        cycle = DynkinGraph((-2,) * 3, ((0, 1), (1, 2), (0, 2)))
-        assert not rational_homology_manifold_check(Basket(), graphs=[cycle])

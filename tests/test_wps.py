@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from duvalk3.ade import Basket
+from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
+    _reachable_mask,
     CyclicQuotient,
     HypersurfaceFamily,
     NoLinkingMonomial,
@@ -15,6 +17,7 @@ from duvalk3.wps import (
     vertex_singularities,
     well_formed,
 )
+from rr_oracle import altinok_series, hilbert_series
 
 
 def family(weights, degree):
@@ -84,6 +87,20 @@ class TestQuasismooth:
 
     def test_linear_cone_counts_as_quasismooth(self):
         assert quasismooth(family((1, 1, 1, 3), 3))
+
+
+class TestReachableMask:
+    def test_matches_set_closure(self):
+        for n in (1, 2, 3):
+            for ws in itertools.combinations_with_replacement(range(1, 10), n):
+                for d in range(0, 40):
+                    reach = {0}
+                    for w in ws:
+                        for x in range(d + 1):  # ascending, so multiples chain
+                            if x in reach and x + w <= d:
+                                reach.add(x + w)
+                    want = sum(1 << x for x in reach)
+                    assert _reachable_mask(ws, d) == want, (ws, d)
 
 
 class TestVertexSingularities:
@@ -156,3 +173,37 @@ class TestCanonicalTrivialProperties:
             b = basket(f)
             assert all(t.kind == "A" for t in b)
             assert b.total_d <= 19, (a, b.tokens())
+
+
+def _rr_points(f, inverse=True):
+    """(r, b) per point: 1/r(a_j, a_k) enters with b = a_j^-1 mod r."""
+    quotients = vertex_singularities(f)
+    quotients += [q for q, mult in edge_singularities(f) for _ in range(mult)]
+    return [(q.r, pow(q.b[0], -1, q.r) if inverse else q.b[0]) for q in quotients]
+
+
+class TestOrbifoldRiemannRoch:
+    N = 60
+
+    def _matches(self, weights, degrees, points):
+        return hilbert_series(weights, degrees, self.N) == altinok_series(
+            weights, degrees, points, self.N
+        )
+
+    def test_every_family_matches_hilbert_series(self):
+        families = enumerate_k3_hypersurfaces(40)
+        assert len(families) == 95
+        for fam in families:
+            f = fam.family
+            assert self._matches(f.weights.a, (f.degree,), _rr_points(f)), str(f)
+
+    def test_detects_uninverted_residue(self):
+        assert any(
+            not self._matches(f.weights.a, (f.degree,), _rr_points(f, inverse=False))
+            for f in (fam.family for fam in enumerate_k3_hypersurfaces(40))
+        )
+
+    def test_codimension_two_row(self):
+        # F_{4,4} in P(1,1,2,2,2): only 4A_1, i.e. four points 1/2(1,1)
+        for m in (3, 4, 5):
+            assert self._matches((1, 1, 2, 2, 2), (4, 4), [(2, 1)] * m) == (m == 4)
