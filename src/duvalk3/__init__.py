@@ -9,7 +9,6 @@ from .ade import (
     SymIntForm,
     cartan_matrix,
     form_signature,
-    is_negative_definite,
     plumbing_form,
     standard_dynkin_graph,
 )
@@ -20,9 +19,8 @@ from .wps import (
     NotDuVal,
     Weights,
     basket,
-    edge_singularities,
     quasismooth,
-    vertex_singularities,
+    quotient_points,
     well_formed,
 )
 from .homology import (
@@ -47,7 +45,6 @@ from .threefolds import (
     SurfaceModel,
     bsy_check,
     novikov_assembly,
-    rational_homology_manifold_check,
     sigma_k3,
     smooth_k3_signature,
     t1_surface,
@@ -59,7 +56,6 @@ from .catalog import (
     ParseError,
     embedded_catalog,
     load_catalog,
-    realized_signatures,
     verify_row,
 )
 from .search import (

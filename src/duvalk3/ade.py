@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterator
 
 # Construction cap for Cartan matrices / standard graphs.  The geometric
 # applications live entirely below rank 19, so this is pure headroom.
@@ -55,16 +55,20 @@ class ADEType:
 
 
 def _parse_token(token: str) -> tuple[int | None, ADEType]:
-    """``3A_2`` -> (3, A_2) and ``A_2`` -> (None, A_2); a multiplicity is
-    refused before any expansion when it brings more than RANK_CAP curves."""
+    """``3A_2`` -> (3, A_2) and ``A_2`` -> (None, A_2)."""
     m = _TOKEN_RE.match(token.strip())
     if not m:
         raise ValueError(f"bad ADE type token {token!r}")
-    t = ADEType(m.group(2), int(m.group(3)))
     mult = int(m.group(1)) if m.group(1) else None
-    if mult is not None and not 1 <= mult * t.rank <= RANK_CAP:
-        raise ValueError(f"{token!r} has {mult * t.rank} curves, outside [1, {RANK_CAP}]")
-    return mult, t
+    return mult, ADEType(m.group(2), int(m.group(3)))
+
+
+def repeated(t: ADEType, mult: int) -> list[ADEType]:
+    """``mult`` copies of ``t``, refused before any expansion when they
+    bring no curve or more than RANK_CAP curves."""
+    if not 1 <= mult * t.rank <= RANK_CAP:
+        raise ValueError(f"{mult}{t} has {mult * t.rank} curves, outside [1, {RANK_CAP}]")
+    return [t] * mult
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class Basket:
         entries: list[ADEType] = []
         for token in text.split():
             mult, t = _parse_token(token)
-            entries.extend([t] * (mult or 1))
+            entries.extend(repeated(t, 1 if mult is None else mult))
         return cls(tuple(entries))
 
     def __iter__(self) -> Iterator[ADEType]:
@@ -143,26 +147,6 @@ class DynkinGraph:
     def n_vertices(self) -> int:
         return len(self.euler_weights)
 
-    def is_tree(self) -> bool:
-        """True iff the graph is connected and acyclic (rational H^1 = 0)."""
-        n = self.n_vertices
-        if n == 0:
-            return False
-        if len(self.edges) != n - 1:
-            return False
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
 
 def standard_dynkin_graph(t: ADEType, euler_weight: int = -2) -> DynkinGraph:
     """The standard tree of the given type, all vertices equally weighted."""
@@ -202,26 +186,8 @@ class SymIntForm:
     def dim(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def diagonal(cls, values: Iterable[int]) -> "SymIntForm":
-        vals = tuple(values)
-        n = len(vals)
-        return cls(tuple(
-            tuple(vals[i] if i == j else 0 for j in range(n)) for i in range(n)
-        ))
-
     def __neg__(self) -> "SymIntForm":
         return SymIntForm(tuple(tuple(-x for x in row) for row in self.entries))
-
-    def direct_sum(self, other: "SymIntForm") -> "SymIntForm":
-        """Block sum q ⊕ q'."""
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.entries[i]) + (0,) * m)
-        for i in range(m):
-            rows.append((0,) * n + tuple(other.entries[i]))
-        return SymIntForm(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -231,10 +197,6 @@ class FormSignature:
     positives: int
     negatives: int
     zeros: int
-
-    @property
-    def dim(self) -> int:
-        return self.positives + self.negatives + self.zeros
 
     @property
     def sigma(self) -> int:
@@ -301,8 +263,3 @@ def form_signature(q: SymIntForm) -> FormSignature:
         ]
         p = -e * e // p
     return FormSignature(pos, neg, q.dim - pos - neg)
-
-
-def is_negative_definite(q: SymIntForm) -> bool:
-    """True iff every eigenvalue is negative."""
-    return form_signature(q) == FormSignature(0, q.dim, 0)

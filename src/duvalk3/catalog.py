@@ -196,8 +196,3 @@ def verify_row(row: CatalogRow) -> RowVerification:
             FieldCheck("sigma", str(row.sigma), str(sigma_k3(row.basket)))
         )
     return RowVerification(row, tuple(checks))
-
-
-def realized_signatures(rows) -> set[int]:
-    """The set of signatures realized across the given rows."""
-    return {row.sigma for row in rows}

@@ -11,10 +11,10 @@ import os
 import sys
 
 from .ade import ADEType, Basket, cartan_matrix, form_signature, plumbing_form, standard_dynkin_graph
-from .catalog import ParseError, InvariantViolation, embedded_catalog, load_catalog, realized_signatures, verify_row
+from .catalog import ParseError, InvariantViolation, embedded_catalog, load_catalog, verify_row
 from .search import DEFAULT_MAX_WEIGHT, enumerate_k3_hypersurfaces, stabilized_enumeration
-from .threefolds import BoundViolation, KawamataDiagram, SurfaceModel, bsy_check, sigma_k3
-from .wps import HypersurfaceFamily, NotDuVal, Weights, basket, quasismooth, well_formed
+from .threefolds import KawamataDiagram, SurfaceModel, bsy_check, sigma_k3
+from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 EX_OK = 0
 EX_REJECT = 2
@@ -59,7 +59,7 @@ def _cmd_basket(args: argparse.Namespace) -> int:
         b = basket(family)
         # the K3 formula holds only at d = sum(a_i); the basket holds at any degree
         sigma = sigma_k3(b) if family.is_canonical_trivial else "-"
-    except (NotDuVal, BoundViolation) as exc:
+    except ValueError as exc:  # NotDuVal, BoundViolation or a point past RANK_CAP
         return _reject(str(exc))
     if args.format == "tsv":
         print("\t".join((str(family), b.tokens(), str(sigma))))
@@ -78,7 +78,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         return EX_USAGE
     try:
         sigma = sigma_k3(b, args.q)
-    except (BoundViolation, ValueError) as exc:
+    except ValueError as exc:
         return _reject(str(exc))
     print(sigma)
     return EX_OK
@@ -143,7 +143,7 @@ def _cmd_table_verify(args: argparse.Namespace) -> int:
                     f"          {check.field}: stored {check.expected}, "
                     f"recomputed {check.actual}"
                 )
-    realized = sorted(realized_signatures(rows))
+    realized = sorted({row.sigma for row in rows})
     print(
         f"verified {len(rows)} rows: {len(rows) - mismatched} ok, "
         f"{mismatched} mismatched; signatures {_format_set(realized)}"
@@ -164,7 +164,7 @@ def _cmd_bsy(args: argparse.Namespace) -> int:
         fiber = SurfaceModel(b, args.fiber_q) if args.q == 1 else None
         diagram = KawamataDiagram(args.q, args.degree, fiber)
         report = bsy_check(diagram)
-    except (BoundViolation, ValueError) as exc:
+    except ValueError as exc:
         return _reject(str(exc))
     for line in report.lines():
         print(line)

@@ -82,10 +82,6 @@ class FormalClass:
             clean[gen] = c
         object.__setattr__(self, "_terms", clean)
 
-    @classmethod
-    def zero(cls) -> "FormalClass":
-        return cls()
-
     @property
     def space(self) -> SpaceLabel | None:
         """The common space, or None for the zero class."""
@@ -100,11 +96,6 @@ class FormalClass:
         """Terms in deterministic (degree, label) order, for printing and tests."""
         return sorted(self._terms.items(), key=lambda t: (t[0].degree, t[0].label))
 
-    def degree_part(self, degree: int) -> "FormalClass":
-        return FormalClass(
-            {g: c for g, c in self._terms.items() if g.degree == degree}
-        )
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -114,12 +105,6 @@ class FormalClass:
         for g, c in other._terms.items():
             acc[g] = acc.get(g, 0) + c
         return FormalClass(acc)
-
-    def __sub__(self, other: "FormalClass") -> "FormalClass":
-        return self + (-other)
-
-    def __neg__(self) -> "FormalClass":
-        return FormalClass({g: -c for g, c in self._terms.items()})
 
     def scale(self, factor: Scalar) -> "FormalClass":
         if type(factor) not in (int, Fraction):  # a float times a Fraction rounds

@@ -116,26 +116,19 @@ class KawamataDiagram:
 class NovikovDecomposition:
     """Signature bookkeeping for the crepant resolution of a K3 surface.
 
-    Cutting the resolution into exceptional tubes and their complement is
-    additive; coning off the boundary links contributes suspensions, whose
-    signatures vanish.
+    Tube and complement signatures add up to the resolution's; coning off
+    the boundary links adds suspensions of signature 0, so the singular
+    surface keeps the complement's signature.
     """
 
     sigma_resolution: int
     tube_signatures: tuple[int, ...]
     sigma_complement: int
-    cone_signatures: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.sigma_complement + sum(self.tube_signatures) != self.sigma_resolution:
-            raise ValueError("tube and complement signatures are not additive")
-        if any(self.cone_signatures):
-            raise ValueError("suspension signatures must vanish")
 
     @property
     def sigma_surface(self) -> int:
-        """Signature of the singular surface: complement plus cones."""
-        return self.sigma_complement + sum(self.cone_signatures)
+        """Signature of the singular surface: the complement's (cones add 0)."""
+        return self.sigma_complement
 
 
 def novikov_assembly(b: Basket) -> NovikovDecomposition:
@@ -152,7 +145,6 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
         sigma_resolution=sigma_res,
         tube_signatures=tubes,
         sigma_complement=sigma_res - sum(tubes),
-        cone_signatures=(0,) * len(b),
     )
 
 
@@ -279,10 +271,3 @@ def bsy_check(k: KawamataDiagram) -> BsyReport:
         topological_route=topological,
         expected=threefold_lclass(k),
     )
-
-
-def rational_homology_manifold_check(b: Basket) -> bool:
-    """True iff every exceptional configuration is a tree of rational
-    curves, so the singular surface is a rational homology manifold; ADE
-    dual graphs always are."""
-    return all(standard_dynkin_graph(t).is_tree() for t in b)

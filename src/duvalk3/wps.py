@@ -3,18 +3,18 @@
 A general member of degree d in P(a0,a1,a2,a3) that passes the
 well-formedness and quasismoothness filters acquires cyclic quotient
 singularities from the ambient space only: isolated points at coordinate
-vertices and finitely many points along singular coordinate edges.  This
-module computes those local types and converts them to a du Val basket.
+vertices and finitely many points along singular coordinate edges.  One
+loop over those strata computes the local types and their counts in
+closed form, and ``basket`` converts them to a du Val basket.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 
-from .ade import ADEType, Basket
+from .ade import ADEType, Basket, repeated
 
 
 class NotDuVal(ValueError):
@@ -103,7 +103,7 @@ class CyclicQuotient:
 
 def well_formed(w: Weights) -> bool:
     """True iff every three of the four weights are coprime."""
-    return all(reduce(gcd, t) == 1 for t in itertools.combinations(w.a, 3))
+    return all(gcd(*t) == 1 for t in itertools.combinations(w.a, 3))
 
 
 def _reachable_mask(weights: tuple[int, ...], d: int) -> int:
@@ -156,71 +156,63 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
     return True
 
 
-def vertex_singularities(f: HypersurfaceFamily) -> list[CyclicQuotient]:
-    """Quotient points at coordinate vertices lying on the general member.
-
-    The vertex P_i lies on the member iff a_i does not divide d.  A linking
-    index l with a_i | d - a_l then exists by quasismoothness, and the
-    transversal quotient has type 1/a_i(a_j, a_k) for the two remaining
-    coordinates.  Any admissible l gives the same type.
-    """
-    a = f.weights.a
-    d = f.degree
-    out: list[CyclicQuotient] = []
-    for i in range(4):
-        if d % a[i] == 0:
-            continue
-        links = [l for l in range(4) if l != i and (d - a[l]) % a[i] == 0]
-        if not links:
-            raise NoLinkingMonomial(
-                f"vertex {i} of {f}: no l with {a[i]} | d - a_l"
-            )
-        j, k = (t for t in range(4) if t not in (i, links[0]))
-        try:
-            out.append(CyclicQuotient(a[i], (a[j] % a[i], a[k] % a[i])))
-        except ValueError as exc:
-            raise NotDuVal(f"vertex {i} of {f}: {exc}") from exc
-    return out
+# the singular strata a member can meet in points: the 4 vertices, then the
+# 6 edges (well-formedness rules out larger singular strata)
+_STRATA = [(i,) for i in range(4)] + list(itertools.combinations(range(4), 2))
 
 
-def edge_singularities(
-    f: HypersurfaceFamily,
-) -> list[tuple[CyclicQuotient, int]]:
-    """Quotient points along singular coordinate edges, with multiplicities.
+def _monomials(ai: int, aj: int, d: int) -> int:
+    """Number of (p, q) >= 0 with p*ai + q*aj = d, in closed form."""
+    g = gcd(ai, aj)
+    if d % g:
+        return 0
+    alpha, beta, n = ai // g, aj // g, d // g
+    q0 = n * pow(beta, -1, alpha) % alpha  # the least q that solves it mod alpha
+    return (n - q0 * beta) // (alpha * beta) + 1 if q0 * beta <= n else 0
 
-    An edge with h = gcd(a_i, a_j) > 1 meets the general member in
-    (number of monomials in x_i, x_j of degree d) - 1 points, each of
-    type 1/h(a_k, a_l) for the complementary coordinates.
+
+def quotient_points(f: HypersurfaceFamily) -> list[tuple[CyclicQuotient, int]]:
+    """Cyclic quotient points on the general member, with their counts.
+
+    A stratum whose weights have gcd g > 1 meets the member in points iff
+    g divides d exactly when the stratum is an edge (|I| - 1 - |E| = 0 in
+    Iano-Fletcher's count).  A vertex P_i carries one point, and its first
+    linking coordinate l (g | d - a_l) drops out; an edge carries (number
+    of monomials of degree d in its two coordinates) - 1 points.  The two
+    coordinates left give the type 1/g(a_j, a_k).
     """
     a = f.weights.a
     d = f.degree
     out: list[tuple[CyclicQuotient, int]] = []
-    for i, j in itertools.combinations(range(4), 2):
-        h = gcd(a[i], a[j])
-        if h <= 1:
+    for s in _STRATA:
+        g = gcd(*(a[i] for i in s))
+        if g == 1 or (d % g == 0) != (len(s) == 2):
             continue
-        solutions = sum(
-            1 for q in range(d // a[j] + 1) if (d - q * a[j]) % a[i] == 0
-        )
-        n = solutions - 1
+        if len(s) == 1:
+            where = f"vertex {s[0]}"
+            l = next((l for l in range(4) if l not in s and (d - a[l]) % g == 0), None)
+            if l is None:
+                raise NoLinkingMonomial(f"{where} of {f}: no l with {g} | d - a_l")
+            s, n = s + (l,), 1
+        else:
+            where = "edge ({},{})".format(*s)
+            n = _monomials(a[s[0]], a[s[1]], d) - 1
         if n > 0:
-            k, l = (t for t in range(4) if t not in (i, j))
+            j, k = (t for t in range(4) if t not in s)
             try:
-                out.append((CyclicQuotient(h, (a[k] % h, a[l] % h)), n))
+                out.append((CyclicQuotient(g, (a[j] % g, a[k] % g)), n))
             except ValueError as exc:
-                raise NotDuVal(f"edge ({i},{j}) of {f}: {exc}") from exc
+                raise NotDuVal(f"{where} of {f}: {exc}") from exc
     return out
 
 
 def basket(f: HypersurfaceFamily) -> Basket:
     """The du Val basket of the general member.
 
-    Raises NotDuVal if any quotient is not of type A_{r-1}; for
-    canonical-trivial families passing the filters this cannot happen.
+    Raises NotDuVal if any quotient is not of type A_{r-1}, and ValueError
+    if one point type brings more than RANK_CAP curves; for
+    canonical-trivial families passing the filters neither can happen.
     """
-    entries: list[ADEType] = []
-    for q in vertex_singularities(f):
-        entries.append(q.to_ade())
-    for q, mult in edge_singularities(f):
-        entries.extend([q.to_ade()] * mult)
-    return Basket(tuple(entries))
+    return Basket(tuple(
+        t for q, n in quotient_points(f) for t in repeated(q.to_ade(), n)
+    ))

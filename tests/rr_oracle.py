@@ -11,6 +11,9 @@ plurigenus formula for a K3 surface carrying the proposed basket,
 where A² = Π d_k / Π a_i and each point Q is 1/r(1,-1) with A = O(b)
 locally.  Series are coefficient lists over Fraction, lowest degree first,
 truncated after t^n.
+
+``orbifold_euler`` is a second oracle, independent of Riemann-Roch: for a
+K3 surface with points of orders r, Σ (r - 1/r) = 24 - e_orb(X).
 """
 
 from __future__ import annotations
@@ -51,3 +54,13 @@ def altinok_series(weights, degrees, points, n: int) -> Series:
             inner[i] = Fraction(bi * (r - bi), 2 * r)
         out = [x - y for x, y in zip(out, _over_1_minus(inner, r))]
     return out
+
+
+def orbifold_euler(weights, degrees) -> Fraction:
+    """e_orb = Π d_k / Π a_i · [h²] Π(1 + a_i h) / Π(1 + d_k h)."""
+    c = [Fraction(1), Fraction(0), Fraction(0)]  # coefficients of 1, h, h²
+    for a in weights:
+        c = [c[0], c[1] + a * c[0], c[2] + a * c[1]]
+    for d in degrees:  # 1 / (1 + d h) = 1 - d h + d² h² + ...
+        c = [c[0], c[1] - d * c[0], c[2] - d * c[1] + d * d * c[0]]
+    return Fraction(prod(degrees), prod(weights)) * c[2]

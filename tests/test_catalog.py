@@ -7,7 +7,6 @@ from duvalk3.catalog import (
     ParseError,
     embedded_catalog,
     load_catalog,
-    realized_signatures,
     verify_row,
 )
 
@@ -34,14 +33,14 @@ class TestEmbeddedCatalog:
             assert row.sigma == -16 + row.basket.total_d, row.name
 
     def test_realized_signatures(self):
-        assert realized_signatures(embedded_catalog()) == set(range(-16, 3))
+        assert {r.sigma for r in embedded_catalog()} == set(range(-16, 3))
 
     def test_minus_twelve_only_in_codim_two(self):
         codim1 = [r for r in embedded_catalog() if r.codim == 1]
-        assert realized_signatures(codim1) == set(range(-16, 3)) - {-12}
+        assert {r.sigma for r in codim1} == set(range(-16, 3)) - {-12}
 
     def test_three_not_realized(self):
-        assert 3 not in realized_signatures(embedded_catalog())
+        assert 3 not in {r.sigma for r in embedded_catalog()}
 
 
 class TestVerifyRow:

@@ -72,12 +72,19 @@ class TestBasketCommand:
         assert code == EX_OK
         assert out.strip().split("\t") == ["F_10 ⊂ P(1,2,2,5)", "5A_1", "-11"]
 
-
     def test_huge_degree_finishes(self, capsys):
         # the reachability mask doubles its shifts, so d = 10^6 is quick
         code, out, _ = run(capsys, "basket", "1", "1", "1", "2", "--degree", "1000000")
         assert code == EX_OK
         assert "basket: (empty)" in out.splitlines()
+
+    @pytest.mark.parametrize("degree", ["2000", "2000000"])
+    def test_computed_basket_past_rank_cap_rejected(self, capsys, degree):
+        # d/2 points 1/2(1,1) on the (2,2) edge: more than 64 curves of one type
+        code, out, err = run(capsys, "basket", "1", "1", "2", "2", "--degree", degree)
+        assert code == EX_REJECT
+        assert out == ""
+        assert "outside [1, 64]" in err
 
 
 class TestSigmaCommand:
@@ -166,6 +173,33 @@ class TestTableVerify:
         code, out, _ = run(capsys, "table", "verify", "--catalog", str(fixture))
         assert code == EX_REJECT
         assert "MISMATCH" in out
+
+    def test_basket_errors_whole_stdout(self, capsys, tmp_path):
+        fixture = tmp_path / "errors.txt"
+        fixture.write_text(
+            "F_7 ⊂ P(1,1,1,4) | 1,1,1,4 | 7 | - | -16\n"
+            "F_7 ⊂ P(1,2,2,2) | 1,2,2,2 | 7 | - | -16\n"
+            "F_8 ⊂ P(2,2,2,2) | 2,2,2,2 | 8 | - | -16\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "table", "verify", "--catalog", str(fixture))
+        assert code == EX_REJECT
+        assert out == "\n".join([
+            "MISMATCH  F_7 ⊂ P(1,1,1,4)",
+            "          quasismooth: stored True, recomputed False",
+            "          basket: stored -, recomputed error: "
+            "vertex 3 of F_7 ⊂ P(1,1,1,4): no l with 4 | d - a_l",
+            "MISMATCH  F_7 ⊂ P(1,2,2,2)",
+            "          well_formed: stored True, recomputed False",
+            "          quasismooth: stored True, recomputed False",
+            "          basket: stored -, recomputed error: "
+            "vertex 1 of F_7 ⊂ P(1,2,2,2): 1/2(0, 0) is not isolated: gcd(0,2) > 1",
+            "MISMATCH  F_8 ⊂ P(2,2,2,2)",
+            "          well_formed: stored True, recomputed False",
+            "          basket: stored -, recomputed error: "
+            "edge (0,1) of F_8 ⊂ P(2,2,2,2): 1/2(0, 0) is not isolated: gcd(0,2) > 1",
+            "verified 3 rows: 0 ok, 3 mismatched; signatures {-16}",
+        ]) + "\n"
 
     def test_env_var_default(self, capsys, tmp_path, monkeypatch):
         fixture = tmp_path / "cat.txt"

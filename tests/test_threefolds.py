@@ -8,12 +8,10 @@ from duvalk3.homology import Generator, SpaceLabel, transfer
 from duvalk3.threefolds import (
     BoundViolation,
     KawamataDiagram,
-    NovikovDecomposition,
     SurfaceModel,
     bsy_check,
     kawamata_cover,
     novikov_assembly,
-    rational_homology_manifold_check,
     sigma_k3,
     signature_from_hodge,
     smooth_k3_signature,
@@ -119,12 +117,6 @@ class TestNovikovAssembly:
     def test_bound_violation(self):
         with pytest.raises(BoundViolation):
             novikov_assembly(Basket.parse("2A_10"))
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            NovikovDecomposition(-16, (-1,), -16, (0,))
-        with pytest.raises(ValueError):
-            NovikovDecomposition(-16, (-1,), -15, (1,))
 
 
 class TestT1Surface:
@@ -260,9 +252,3 @@ class TestBsyCheck:
                     fundamental_class(e_space),
                 )
                 assert pushforward(cover, lfe) == d * threefold_lclass(k)
-
-
-class TestRationalHomologyManifoldCheck:
-    def test_ade_baskets_pass(self):
-        assert rational_homology_manifold_check(Basket.parse("A_5"))
-        assert rational_homology_manifold_check(Basket.parse("E_8 D_4"))

@@ -1,10 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from duvalk3.ade import Basket
 from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
+    _monomials,
     _reachable_mask,
     CyclicQuotient,
     HypersurfaceFamily,
@@ -12,12 +14,11 @@ from duvalk3.wps import (
     NotDuVal,
     Weights,
     basket,
-    edge_singularities,
     quasismooth,
-    vertex_singularities,
+    quotient_points,
     well_formed,
 )
-from rr_oracle import altinok_series, hilbert_series
+from rr_oracle import altinok_series, hilbert_series, orbifold_euler
 
 
 def family(weights, degree):
@@ -103,37 +104,57 @@ class TestReachableMask:
                     assert _reachable_mask(ws, d) == want, (ws, d)
 
 
-class TestVertexSingularities:
+class TestMonomialCount:
+    def test_matches_brute_force(self):
+        for ai in range(1, 25):
+            for aj in range(1, 25):
+                for d in range(200):
+                    want = sum(
+                        1 for q in range(d // aj + 1) if (d - q * aj) % ai == 0
+                    )
+                    assert _monomials(ai, aj, d) == want, (ai, aj, d)
+
+
+def points(weights, degree):
+    return [(str(q), n) for q, n in quotient_points(family(weights, degree))]
+
+
+class TestQuotientPoints:
+    # vertex points (count 1 each) come first, then the edge points
+
     def test_single_a1(self):
-        quotients = vertex_singularities(family((1, 1, 1, 2), 5))
-        assert [str(q) for q in quotients] == ["1/2(1,1)"]
+        assert points((1, 1, 1, 2), 5) == [("1/2(1,1)", 1)]
 
     def test_weight_dividing_degree_emits_nothing(self):
-        quotients = vertex_singularities(family((1, 2, 2, 3), 8))
-        assert [str(q) for q in quotients] == ["1/3(1,2)"]
+        # the weight-2 vertices divide 8; their edge carries 4 points
+        assert points((1, 2, 2, 3), 8) == [("1/3(1,2)", 1), ("1/2(1,1)", 4)]
 
     def test_two_vertices(self):
-        quotients = vertex_singularities(family((3, 4, 7, 10), 24))
-        assert [str(q) for q in quotients] == ["1/7(4,3)", "1/10(3,7)"]
-        assert [str(q.to_ade()) for q in quotients] == ["A_6", "A_9"]
+        quotients = quotient_points(family((3, 4, 7, 10), 24))
+        assert [(str(q), n) for q, n in quotients] == [
+            ("1/7(4,3)", 1), ("1/10(3,7)", 1), ("1/2(1,1)", 1)
+        ]
+        assert [str(q.to_ade()) for q, _ in quotients] == ["A_6", "A_9", "A_1"]
 
     def test_no_linking_monomial(self):
         # vertex of weight 5: 8 is neither 0 nor 1 mod 5, so no weight links
         with pytest.raises(NoLinkingMonomial):
-            vertex_singularities(family((1, 1, 1, 5), 8))
+            quotient_points(family((1, 1, 1, 5), 8))
 
-
-class TestEdgeSingularities:
     def test_five_a1_points(self):
-        edges = edge_singularities(family((1, 2, 2, 5), 10))
-        assert [(str(q), n) for q, n in edges] == [("1/2(1,1)", 5)]
+        assert points((1, 2, 2, 5), 10) == [("1/2(1,1)", 5)]
 
     def test_two_singular_edges(self):
-        edges = edge_singularities(family((3, 4, 5, 6), 18))
-        assert [(str(q), n) for q, n in edges] == [("1/3(1,2)", 3), ("1/2(1,1)", 1)]
+        assert points((3, 4, 5, 6), 18) == [
+            ("1/4(3,1)", 1), ("1/5(4,1)", 1), ("1/3(1,2)", 3), ("1/2(1,1)", 1)
+        ]
 
-    def test_no_singular_edges(self):
-        assert edge_singularities(family((1, 1, 1, 1), 4)) == []
+    def test_no_singular_strata(self):
+        assert quotient_points(family((1, 1, 1, 1), 4)) == []
+
+    def test_huge_degree_is_constant_time(self):
+        # 2p + 2q = 2*10^9 has 10^9 + 1 solutions: one closed form, no loop
+        assert points((1, 1, 2, 2), 2 * 10**9) == [("1/2(1,1)", 10**9)]
 
 
 class TestBasket:
@@ -153,6 +174,11 @@ class TestBasket:
         assert quasismooth(f)
         with pytest.raises(NotDuVal):
             basket(f)
+
+    def test_point_type_past_rank_cap_refused(self):
+        # 1000 points 1/2(1,1) would be 1000 curves: refused before expanding
+        with pytest.raises(ValueError, match=r"1000A_1 has 1000 curves"):
+            basket(family((1, 1, 2, 2), 2000))
 
     def test_permutation_invariance(self):
         reference = basket(family((2, 3, 4, 5), 14))
@@ -177,9 +203,11 @@ class TestCanonicalTrivialProperties:
 
 def _rr_points(f, inverse=True):
     """(r, b) per point: 1/r(a_j, a_k) enters with b = a_j^-1 mod r."""
-    quotients = vertex_singularities(f)
-    quotients += [q for q, mult in edge_singularities(f) for _ in range(mult)]
-    return [(q.r, pow(q.b[0], -1, q.r) if inverse else q.b[0]) for q in quotients]
+    return [
+        (q.r, pow(q.b[0], -1, q.r) if inverse else q.b[0])
+        for q, n in quotient_points(f)
+        for _ in range(n)
+    ]
 
 
 class TestOrbifoldRiemannRoch:
@@ -207,3 +235,40 @@ class TestOrbifoldRiemannRoch:
         # F_{4,4} in P(1,1,2,2,2): only 4A_1, i.e. four points 1/2(1,1)
         for m in (3, 4, 5):
             assert self._matches((1, 1, 2, 2, 2), (4, 4), [(2, 1)] * m) == (m == 4)
+
+
+class TestOrbifoldEuler:
+    """Sum over the points of (r - 1/r) = 24 - e_orb, which sees only the orders r."""
+
+    @staticmethod
+    def _holds(weights, degrees, orders):
+        return sum(r - Fraction(1, r) for r in orders) == 24 - orbifold_euler(
+            weights, degrees
+        )
+
+    def test_every_family_matches(self):
+        families = enumerate_k3_hypersurfaces(40)
+        assert len(families) == 95
+        for fam in families:
+            f = fam.family
+            orders = [q.r for q, n in quotient_points(f) for _ in range(n)]
+            assert self._holds(f.weights.a, (f.degree,), orders), str(f)
+
+    def test_codimension_two_row(self):
+        # F_{4,4} in P(1,1,2,2,2): only four points of order 2
+        for m in (3, 4, 5):
+            assert self._holds((1, 1, 2, 2, 2), (4, 4), [2] * m) == (m == 4)
+
+    def test_detects_wrong_vertex_order(self):
+        # vertex points are those whose order does not divide d; r -> r + 1
+        def bumped(f):
+            return [
+                q.r + (f.degree % q.r != 0)
+                for q, n in quotient_points(f)
+                for _ in range(n)
+            ]
+
+        assert any(
+            not self._holds(f.weights.a, (f.degree,), bumped(f))
+            for f in (fam.family for fam in enumerate_k3_hypersurfaces(40))
+        )
