@@ -157,8 +157,9 @@ def _cmd_bsy(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
-    if args.q != 1 and b.entries:
-        print("error: a basket is only meaningful for --q 1", file=sys.stderr)
+    if args.q != 1 and (b.entries or args.fiber_q):
+        flag = "--basket" if b.entries else "--fiber-q"
+        print(f"error: {flag} is only meaningful for --q 1", file=sys.stderr)
         return EX_USAGE
     try:
         fiber = SurfaceModel(b, args.fiber_q) if args.q == 1 else None

@@ -4,7 +4,8 @@ Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
 well-formedness and quasismoothness tests.  One serial loop scans the
 ascending triples (a0, a1, a2) and only the few largest weights a3 that
-quasismoothness allows, so families come out in canonical order.
+the vertex linking condition allows, tests all four vertex linking
+conditions before any filter runs, and emits families in canonical order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 from .ade import ADEType, Basket
 from .catalog import CatalogRow
 from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
-from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
+from .wps import (
+    HypersurfaceFamily, Weights, _vertices_linked, basket, quasismooth, well_formed
+)
 
 DEFAULT_MAX_WEIGHT = 40
 STABILIZE_STEP = 10
@@ -77,12 +80,13 @@ class K3Family:
 def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
     """The a3 in [a2, max_weight] that can pass the vertex linking test.
 
-    `quasismooth`'s k = 1 test on the subset {3} needs a3 | d or
-    a3 | d - a_j for some j < 3 (its `d in a` shortcut never fires, since
+    The linking condition at P_3 needs a3 | d or a3 | d - a_j for some
+    j < 3 (`quasismooth`'s `d in a` shortcut never fires, since
     d = a0+a1+a2+a3 exceeds every weight).  So a3 divides one of
     n in {a0+a1+a2, a1+a2, a0+a2, a0+a1}; as n <= 3*a2 <= 3*a3, a3 = n/k
     for some k in {1, 2, 3}.  Every other a3 fails `quasismooth`, so
-    skipping it changes no result.
+    skipping it changes no result.  The sweep tests the conditions at P_0,
+    P_1 and P_2, which depend on a3, on each quadruple.
     """
     sums = (a0 + a1 + a2, a1 + a2, a0 + a2, a0 + a1)
     return sorted(
@@ -104,7 +108,10 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
         for a1 in range(a0, max_weight + 1):
             for a2 in range(a1, max_weight + 1):
                 for a3 in _largest_weights(a0, a1, a2, max_weight):
-                    w = Weights((a0, a1, a2, a3))
+                    a = (a0, a1, a2, a3)
+                    if not _vertices_linked(a, sum(a)):
+                        continue
+                    w = Weights(a)
                     if not well_formed(w):
                         continue
                     f = HypersurfaceFamily.k3(w)

@@ -122,6 +122,22 @@ def _reaches(weights: tuple[int, ...], d: int) -> bool:
     return d >= 0 and bool(_reachable_mask(weights, d) >> d & 1)
 
 
+def _vertices_linked(a: tuple[int, ...], d: int) -> bool:
+    """`quasismooth`'s requirement on every singleton I = {i}.
+
+    P_i is linked iff a_i | d, or a_i | d - a_e for some e with a_e <= d
+    (e = i among them only repeats a_i | d).
+    """
+    for ai in a:
+        if d % ai:
+            for ae in a:
+                if ae <= d and (d - ae) % ai == 0:
+                    break
+            else:
+                return False
+    return True
+
+
 def quasismooth(f: HypersurfaceFamily) -> bool:
     """General-member validity test for the singularity recipe.
 
@@ -134,15 +150,20 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
     * every coordinate edge with non-coprime weights carries a monomial,
       so the general member meets singular edges in finitely many points
       and its singularities stay isolated.
+
+    The singletons I = {i} are the vertex linking conditions
+    (`_vertices_linked`), which the K3 sweep tests before any filter.
     """
     a = f.weights.a
     d = f.degree
     if d in a:
         return True  # linear cone: the general member is a coordinate graph
+    if not _vertices_linked(a, d):
+        return False
     for i, j in itertools.combinations(range(4), 2):
         if gcd(a[i], a[j]) > 1 and not _reaches((a[i], a[j]), d):
             return False
-    for k in range(1, 5):
+    for k in range(2, 5):
         for subset in itertools.combinations(range(4), k):
             mask = _reachable_mask(tuple(a[i] for i in subset), d)
             if mask >> d & 1:

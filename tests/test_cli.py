@@ -294,6 +294,13 @@ class TestBsyCommand:
         code, _, _ = run(capsys, "bsy", "--q", "2", "--basket", "A_1")
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_fiber_q_with_q2_or_q3_is_usage_error(self, capsys, q):
+        code, out, err = run(capsys, "bsy", "--q", q, "--fiber-q", "2", "--degree", "3")
+        assert code == EX_USAGE
+        assert out == ""
+        assert "--fiber-q" in err
+
     def test_fiber_q_flag(self, capsys):
         code, out, _ = run(capsys, "bsy", "--q", "1", "--fiber-q", "2")
         assert code == EX_OK

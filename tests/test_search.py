@@ -1,5 +1,6 @@
 import itertools
 
+from duvalk3 import search
 from duvalk3.ade import ADEType, Basket
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
@@ -92,6 +93,19 @@ class TestEnumerateK3Hypersurfaces:
             for fam in enumerate_k3_hypersurfaces(24)
         ]
         assert got == expected
+
+    def test_filters_see_only_linked_quadruples(self, monkeypatch):
+        # the four vertex linking conditions reject a quadruple before
+        # well_formed or quasismooth sees it: exact counts, no clock
+        calls = {"well_formed": 0, "quasismooth": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(search, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(search, name, counted)
+        assert len(enumerate_k3_hypersurfaces(60)) == 95
+        assert calls == {"well_formed": 1565, "quasismooth": 95}
 
     def test_to_row_round_trips_through_catalog_grammar(self):
         from duvalk3.catalog import load_catalog

@@ -8,6 +8,7 @@ from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
     _monomials,
     _reachable_mask,
+    _vertices_linked,
     CyclicQuotient,
     HypersurfaceFamily,
     NoLinkingMonomial,
@@ -18,6 +19,7 @@ from duvalk3.wps import (
     quotient_points,
     well_formed,
 )
+import qs_oracle
 from rr_oracle import altinok_series, hilbert_series, orbifold_euler
 
 
@@ -88,6 +90,21 @@ class TestQuasismooth:
 
     def test_linear_cone_counts_as_quasismooth(self):
         assert quasismooth(family((1, 1, 1, 3), 3))
+
+    def test_matches_brute_force_oracle(self):
+        # every ascending quadruple <= 10 at every degree <= 40; degrees
+        # below the largest weight run the a_e <= d linking guard
+        max_degree = 40
+        for a in itertools.combinations_with_replacement(range(1, 11), 4):
+            supports = qs_oracle.monomial_supports(a, max_degree)
+            for d in range(1, max_degree + 1):
+                assert quasismooth(family(a, d)) == qs_oracle.quasismooth(
+                    a, d, supports
+                ), (a, d)
+                # the sweep's prune, on its own: the singleton requirement
+                assert _vertices_linked(a, d) == qs_oracle.vertices_linked(
+                    a, d, supports
+                ), (a, d)
 
 
 class TestReachableMask:
