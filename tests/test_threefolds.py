@@ -1,9 +1,18 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from duvalk3 import threefolds
-from duvalk3.ade import Basket
+from duvalk3.ade import (
+    RANK_CAP,
+    ADEType,
+    Basket,
+    form_signature,
+    plumbing_form,
+    standard_dynkin_graph,
+)
 from duvalk3.homology import Generator, SpaceLabel, transfer
 from duvalk3.threefolds import (
     BoundViolation,
@@ -119,6 +128,49 @@ class TestNovikovAssembly:
             novikov_assembly(Basket.parse("2A_10"))
 
 
+class TestTubeSignatureTable:
+    def test_one_form_signature_call_per_type(self, monkeypatch):
+        calls = []
+
+        def counted(form):
+            calls.append(form.dim)
+            return form_signature(form)
+
+        threefolds._tube_signature.cache_clear()
+        monkeypatch.setattr(threefolds, "form_signature", counted)
+        baskets = [b for b, _ in enumerate_baskets(19)]
+        for b in baskets:
+            novikov_assembly(b)
+        assert (len(calls), sum(calls)) == (38, 395)
+        calls.clear()
+        for b in baskets:
+            novikov_assembly(b)
+        assert calls == []
+
+    def test_every_type_matches_a_fresh_signature(self):
+        types = (
+            [ADEType("A", r) for r in range(1, RANK_CAP + 1)]
+            + [ADEType("D", r) for r in range(4, RANK_CAP + 1)]
+            + [ADEType("E", r) for r in (6, 7, 8)]
+        )
+        threefolds._tube_signature.cache_clear()
+        for t in types:
+            fresh = form_signature(plumbing_form(standard_dynkin_graph(t))).sigma
+            assert threefolds._tube_signature(t) == fresh == -t.rank
+        assert threefolds._tube_signature.cache_info().currsize == len(types) == 128
+
+    def test_import_leaves_the_table_empty(self):
+        code = (
+            "import duvalk3, duvalk3.cli\n"
+            "from duvalk3 import threefolds\n"
+            "print(threefolds._tube_signature.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "0"
+
+
 class TestT1Surface:
     def test_smooth_case(self):
         F = surface_space()
@@ -147,6 +199,13 @@ class TestKawamataCover:
             assert (f_space, e_space) == (SpaceLabel("F", 6 - 2 * q), SpaceLabel("E", 2 * q))
             assert cover.degree == 3
             assert kawamata_cover(q, 3) is kawamata_cover(q, 3)
+
+    def test_cache_is_bounded(self):
+        for degree in range(1, 1001):
+            kawamata_cover(2, degree)
+        info = kawamata_cover.cache_info()
+        assert 24 <= info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 class TestThreefoldLClass:
