@@ -83,16 +83,27 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
     The linking condition at P_3 needs a3 | d or a3 | d - a_j for some
     j < 3 (`quasismooth`'s `d in a` shortcut never fires, since
     d = a0+a1+a2+a3 exceeds every weight).  So a3 divides one of
-    n in {a0+a1+a2, a1+a2, a0+a2, a0+a1}; as n <= 3*a2 <= 3*a3, a3 = n/k
-    for some k in {1, 2, 3}.  Every other a3 fails `quasismooth`, so
-    skipping it changes no result.  The sweep tests the conditions at P_0,
-    P_1 and P_2, which depend on a3, on each quadruple.
+    n in {s, a1+a2, a0+a2, a0+a1}, s = a0+a1+a2; as n <= 3*a2 <= 3*a3,
+    a3 = n/k for some k in {1, 2, 3}, and n/k >= a2 leaves few cases:
+
+    * k = 1: s, a1+a2 and a0+a2 always; a0+a1 iff a0+a1 >= a2;
+    * k = 2: s/2 iff a0+a1 >= a2; (a1+a2)/2 only as a2, iff a1 = a2;
+      (a0+a2)/2 and (a0+a1)/2 only as a2, iff a0 = a1 = a2;
+    * k = 3: only s/3 = a2, iff a0 = a1 = a2.
+
+    Every other a3 fails `quasismooth`, so skipping it changes no result.
+    The sweep tests the conditions at P_0, P_1 and P_2, which depend on
+    a3, on each quadruple.
     """
-    sums = (a0 + a1 + a2, a1 + a2, a0 + a2, a0 + a1)
-    return sorted(
-        {n // k for n in sums for k in (1, 2, 3)
-         if n % k == 0 and a2 <= n // k <= max_weight}
-    )
+    s = a0 + a1 + a2
+    found = {s, a1 + a2, a0 + a2}
+    if a1 == a2:
+        found.add(a2)
+    if a0 + a1 >= a2:
+        found.add(a0 + a1)
+        if s % 2 == 0:
+            found.add(s // 2)
+    return sorted(n for n in found if n <= max_weight)
 
 
 def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
@@ -136,15 +147,21 @@ def stabilized_enumeration(
 ) -> tuple[list[K3Family], int]:
     """Raise the weight bound until the family count stops changing.
 
-    The bound is increased in fixed steps until two consecutive raises
-    leave the count unchanged; returns the final families and bound.
+    The bound is increased in fixed steps from `start` until two
+    consecutive raises leave the count unchanged; returns the final
+    families and bound.  Each stability check is one sweep at the bound:
+    the sweep at W holds exactly the families of every W' <= W with
+    a3 <= W', so the counts at W - step and W - 2*step are read off it.
     """
-    families = enumerate_k3_hypersurfaces(start)
-    bound = start
-    unchanged = 0
-    while unchanged < 2:
+    if start < 1 or step < 0:
+        raise ValueError(f"need start >= 1 and step >= 0, got {start}, {step}")
+    bound = start + 2 * step
+    while True:
+        families = enumerate_k3_hypersurfaces(bound)
+        lower = [
+            sum(fam.family.weights.a[3] <= w for fam in families)
+            for w in (bound - 2 * step, bound - step)
+        ]
+        if lower == [len(families)] * 2:
+            return families, bound
         bound += step
-        more = enumerate_k3_hypersurfaces(bound)
-        unchanged = unchanged + 1 if len(more) == len(families) else 0
-        families = more
-    return families, bound

@@ -10,7 +10,9 @@ closed form, and ``basket`` converts them to a du Val basket.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -106,20 +108,28 @@ def well_formed(w: Weights) -> bool:
     return all(gcd(*t) == 1 for t in itertools.combinations(w.a, 3))
 
 
-def _reachable_mask(weights: tuple[int, ...], d: int) -> int:
-    """Bitmask of degrees <= d representable by nonnegative combinations."""
-    m = 1
-    limit = (1 << (d + 1)) - 1
-    for w in weights:
-        # every multiple jw <= d is a sum of distinct shifts 2^i w
-        while w <= d:
-            m |= (m << w) & limit
-            w *= 2
-    return m
+def _reachability(weights: list[int], d: int) -> Callable[[int], bool]:
+    """A test for n <= d: is n a nonnegative combination of the weights?
 
-
-def _reaches(weights: tuple[int, ...], d: int) -> bool:
-    return d >= 0 and bool(_reachable_mask(weights, d) >> d & 1)
+    For each residue class mod m = min(weights) it keeps the least
+    reachable degree in the class, if that is <= d; n is reachable iff
+    n >= it (Böcker–Lipták 2007, in Dijkstra's form).  Only degrees <= d
+    are settled, so time and memory grow with the number of classes that
+    a degree <= d reaches (at most m), not with d itself.
+    """
+    m = min(weights)
+    least = {0: 0}
+    heap = [0]
+    while heap:
+        n = heapq.heappop(heap)
+        if least[n % m] < n:
+            continue  # a smaller degree has settled this class
+        for w in weights:
+            x = n + w
+            if x <= d and x < least.get(x % m, x + 1):
+                least[x % m] = x
+                heapq.heappush(heap, x)
+    return lambda n: n >= 0 and least.get(n % m, n + 1) <= n
 
 
 def _vertices_linked(a: tuple[int, ...], d: int) -> bool:
@@ -160,17 +170,18 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
         return True  # linear cone: the general member is a coordinate graph
     if not _vertices_linked(a, d):
         return False
-    for i, j in itertools.combinations(range(4), 2):
-        if gcd(a[i], a[j]) > 1 and not _reaches((a[i], a[j]), d):
-            return False
     for k in range(2, 5):
         for subset in itertools.combinations(range(4), k):
-            mask = _reachable_mask(tuple(a[i] for i in subset), d)
-            if mask >> d & 1:
+            ws = [a[i] for i in subset]
+            if any(d % w == 0 for w in ws):
+                continue  # a pure power has degree d
+            reaches = _reachability(ws, d)
+            if reaches(d):
                 continue
-            outside = [e for e in range(4) if e not in subset]
+            if k == 2 and gcd(*ws) > 1:
+                return False  # the member contains the singular edge
             linked = sum(
-                1 for e in outside if d >= a[e] and mask >> (d - a[e]) & 1
+                1 for e in range(4) if e not in subset and reaches(d - a[e])
             )
             if linked < k:
                 return False

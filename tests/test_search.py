@@ -1,12 +1,16 @@
 import itertools
 
+import pytest
+
 from duvalk3 import search
 from duvalk3.ade import ADEType, Basket
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
+    _largest_weights,
     enumerate_baskets,
     enumerate_k3_hypersurfaces,
     find_signature,
+    stabilized_enumeration,
 )
 from duvalk3.threefolds import sigma_k3
 from duvalk3.wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
@@ -107,6 +111,22 @@ class TestEnumerateK3Hypersurfaces:
         assert len(enumerate_k3_hypersurfaces(60)) == 95
         assert calls == {"well_formed": 1565, "quasismooth": 95}
 
+    def test_largest_weights_match_divisor_set(self):
+        # the a3 = n/k, n in the four partial sums, k in {1, 2, 3}, that are
+        # >= a2: the set the closed form must reproduce, in order
+        def divisor_set(a0, a1, a2, max_weight):
+            sums = (a0 + a1 + a2, a1 + a2, a0 + a2, a0 + a1)
+            return sorted(
+                {n // k for n in sums for k in (1, 2, 3)
+                 if n % k == 0 and a2 <= n // k <= max_weight}
+            )
+
+        for a0, a1, a2 in itertools.combinations_with_replacement(range(1, 41), 3):
+            for max_weight in (a2, 40, 80):
+                assert _largest_weights(a0, a1, a2, max_weight) == divisor_set(
+                    a0, a1, a2, max_weight
+                ), (a0, a1, a2, max_weight)
+
     def test_to_row_round_trips_through_catalog_grammar(self):
         from duvalk3.catalog import load_catalog
 
@@ -133,3 +153,44 @@ class TestFindSignature:
                 fam.family.weights.a == row.weights and fam.basket == row.basket
                 for fam in hits
             ), row.name
+
+
+class TestStabilizedEnumeration:
+    @staticmethod
+    def bound_by_bound(start, step):
+        # one sweep per bound, until two raises leave the count unchanged
+        families = enumerate_k3_hypersurfaces(start)
+        bound, unchanged = start, 0
+        while unchanged < 2:
+            bound += step
+            more = enumerate_k3_hypersurfaces(bound)
+            unchanged = unchanged + 1 if len(more) == len(families) else 0
+            families = more
+        return families, bound
+
+    def test_matches_bound_by_bound_loop(self):
+        pinned = {(40, 10): (60, 95), (1, 1): (29, 94), (5, 3): (41, 95),
+                  (30, 2): (38, 95)}
+        for (start, step), (bound, count) in pinned.items():
+            families, got_bound = stabilized_enumeration(start, step)
+            assert (got_bound, len(families)) == (bound, count), (start, step)
+            assert (families, got_bound) == self.bound_by_bound(start, step)
+
+    def test_rejects_bad_start_or_step(self):
+        for start, step in ((0, 10), (40, -1)):
+            with pytest.raises(ValueError):
+                stabilized_enumeration(start, step)
+
+    def test_one_sweep_when_already_stable(self, monkeypatch):
+        # the counts at 40 and 50 are read off the sweep at 60: exact
+        # counts, no clock
+        calls = {"enumerate_k3_hypersurfaces": 0, "well_formed": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(search, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(search, name, counted)
+        families, bound = stabilized_enumeration()
+        assert (len(families), bound) == (95, 60)
+        assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 1565}

@@ -7,7 +7,7 @@ from duvalk3.ade import Basket
 from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
     _monomials,
-    _reachable_mask,
+    _reachability,
     _vertices_linked,
     CyclicQuotient,
     HypersurfaceFamily,
@@ -107,7 +107,7 @@ class TestQuasismooth:
                 ), (a, d)
 
 
-class TestReachableMask:
+class TestReachability:
     def test_matches_set_closure(self):
         for n in (1, 2, 3):
             for ws in itertools.combinations_with_replacement(range(1, 10), n):
@@ -117,8 +117,9 @@ class TestReachableMask:
                         for x in range(d + 1):  # ascending, so multiples chain
                             if x in reach and x + w <= d:
                                 reach.add(x + w)
-                    want = sum(1 << x for x in reach)
-                    assert _reachable_mask(ws, d) == want, (ws, d)
+                    reaches = _reachability(list(ws), d)
+                    got = {x for x in range(d + 1) if reaches(x)}
+                    assert got == reach, (ws, d)
 
 
 class TestMonomialCount:
