@@ -2,10 +2,11 @@
 
 Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
-well-formedness and quasismoothness tests.  One serial loop scans the
-ascending triples (a0, a1, a2) and only the few largest weights a3 that
-the vertex linking condition allows, tests all four vertex linking
-conditions before any filter runs, and emits families in canonical order.
+well-formedness and quasismoothness tests.  One serial loop takes the
+weights from the vertex linking conditions: a3 from the few values that
+link P_3, and a2 from [a1, a0+a1] or the at most four larger values that
+can link P_2.  It tests P_0, P_1 and P_2 before any filter runs, and emits
+families in canonical order.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from dataclasses import dataclass
 from .ade import ADEType, Basket
 from .catalog import CatalogRow
 from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
-from .wps import (
-    HypersurfaceFamily, Weights, _vertices_linked, basket, quasismooth, well_formed
-)
+from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 DEFAULT_MAX_WEIGHT = 40
 STABILIZE_STEP = 10
@@ -91,19 +90,25 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
       (a0+a2)/2 and (a0+a1)/2 only as a2, iff a0 = a1 = a2;
     * k = 3: only s/3 = a2, iff a0 = a1 = a2.
 
-    Every other a3 fails `quasismooth`, so skipping it changes no result.
-    The sweep tests the conditions at P_0, P_1 and P_2, which depend on
-    a3, on each quadruple.
+    Every other a3 fails `quasismooth`, so skipping it changes no result,
+    and every candidate satisfies the condition at P_3.  They come out
+    ascending as a2 <= s/2 <= a0+a1 <= a0+a2 <= a1+a2 <= s (a2 only when
+    a1 = a2, s/2 only when s is even, and the first three only when
+    a0+a1 >= a2), with equal neighbours dropped and the list cut at the
+    first value above max_weight.
     """
     s = a0 + a1 + a2
-    found = {s, a1 + a2, a0 + a2}
-    if a1 == a2:
-        found.add(a2)
-    if a0 + a1 >= a2:
-        found.add(a0 + a1)
-        if s % 2 == 0:
-            found.add(s // 2)
-    return sorted(n for n in found if n <= max_weight)
+    low = (
+        (a2 if a1 == a2 else 0, 0 if s % 2 else s // 2, a0 + a1)
+        if a0 + a1 >= a2 else ()
+    )
+    found: list[int] = []
+    for n in (*low, a0 + a2, a1 + a2, s):
+        if n > max_weight:
+            break
+        if n and (not found or n > found[-1]):
+            found.append(n)
+    return found
 
 
 def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
@@ -111,18 +116,37 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
 
     Weight quadruples are normalized ascending, so each family appears
     once up to permutation.  Results are sorted by weights.
+
+    The vertex linking conditions choose the weights.  `_largest_weights`
+    gives a3, which settles P_3.  For a2 > a0+a1 the condition at P_2
+    leaves only a2 in {2a0+a1, a0+2a1, 2a1, 2(a0+a1)}: for each candidate
+    a3 in {a0+a2, a1+a2, s} the residues d and d - a_e mod a2 are a0+a1,
+    2a0, 2a1, 2a0+a1, a0+2a1 or 2(a0+a1), each strictly between 0 and
+    2*a2, so a2 divides one only by equalling it, and a0+a1 and 2a0 are
+    below a2.  So a2 runs over [a1, a0+a1] and then those values in
+    ascending order, and each quadruple is tested at P_0, P_1 and P_2
+    before `Weights`, `well_formed` or `quasismooth` sees it.
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     families: list[K3Family] = []
     for a0 in range(1, max_weight + 1):
         for a1 in range(a0, max_weight + 1):
-            for a2 in range(a1, max_weight + 1):
+            p = a0 + a1
+            linked_p2 = sorted({2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p})
+            a2s = [*range(a1, min(p, max_weight) + 1)]
+            a2s += [n for n in linked_p2 if p < n <= max_weight]
+            for a2 in a2s:
+                s = p + a2
                 for a3 in _largest_weights(a0, a1, a2, max_weight):
-                    a = (a0, a1, a2, a3)
-                    if not _vertices_linked(a, sum(a)):
-                        continue
-                    w = Weights(a)
+                    d = s + a3  # d - a3 = s
+                    if (
+                        d % a0 and (d - a1) % a0 and (d - a2) % a0 and s % a0
+                        or d % a1 and (d - a0) % a1 and (d - a2) % a1 and s % a1
+                        or d % a2 and (d - a0) % a2 and (d - a1) % a2 and s % a2
+                    ):
+                        continue  # P_0, P_1 or P_2 is not linked
+                    w = Weights((a0, a1, a2, a3))
                     if not well_formed(w):
                         continue
                     f = HypersurfaceFamily.k3(w)
@@ -147,14 +171,14 @@ def stabilized_enumeration(
 ) -> tuple[list[K3Family], int]:
     """Raise the weight bound until the family count stops changing.
 
-    The bound is increased in fixed steps from `start` until two
+    The bound is increased in steps of `step` >= 1 from `start` until two
     consecutive raises leave the count unchanged; returns the final
     families and bound.  Each stability check is one sweep at the bound:
     the sweep at W holds exactly the families of every W' <= W with
     a3 <= W', so the counts at W - step and W - 2*step are read off it.
     """
-    if start < 1 or step < 0:
-        raise ValueError(f"need start >= 1 and step >= 0, got {start}, {step}")
+    if start < 1 or step < 1:
+        raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
     bound = start + 2 * step
     while True:
         families = enumerate_k3_hypersurfaces(bound)

@@ -13,7 +13,14 @@ from duvalk3.search import (
     stabilized_enumeration,
 )
 from duvalk3.threefolds import sigma_k3
-from duvalk3.wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
+from duvalk3.wps import (
+    HypersurfaceFamily,
+    Weights,
+    _vertices_linked,
+    basket,
+    quasismooth,
+    well_formed,
+)
 
 
 def count_baskets_oracle(max_total):
@@ -99,9 +106,9 @@ class TestEnumerateK3Hypersurfaces:
         assert got == expected
 
     def test_filters_see_only_linked_quadruples(self, monkeypatch):
-        # the four vertex linking conditions reject a quadruple before
-        # well_formed or quasismooth sees it: exact counts, no clock
-        calls = {"well_formed": 0, "quasismooth": 0}
+        # the linking conditions choose a2 and a3 and reject a quadruple
+        # before well_formed or quasismooth sees it: exact counts, no clock
+        calls = {"_largest_weights": 0, "well_formed": 0, "quasismooth": 0}
         for name in calls:
             def counted(*args, _real=getattr(search, name), _name=name):
                 calls[_name] += 1
@@ -109,7 +116,21 @@ class TestEnumerateK3Hypersurfaces:
 
             monkeypatch.setattr(search, name, counted)
         assert len(enumerate_k3_hypersurfaces(60)) == 95
-        assert calls == {"well_formed": 1565, "quasismooth": 95}
+        assert calls == {
+            "_largest_weights": 21790, "well_formed": 1565, "quasismooth": 95
+        }
+
+    def test_p2_unlinked_beyond_the_lemma_values(self):
+        # for a2 > a0+a1 outside {2a0+a1, a0+2a1, 2a1, 2(a0+a1)} no a3 in
+        # [a2, 50] links all four vertices, not just no _largest_weights one
+        triples = itertools.combinations_with_replacement(range(1, 51), 3)
+        for a0, a1, a2 in triples:
+            lemma = (2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * (a0 + a1))
+            if a2 <= a0 + a1 or a2 in lemma:
+                continue
+            for a3 in range(a2, 51):
+                a = (a0, a1, a2, a3)
+                assert not _vertices_linked(a, sum(a)), a
 
     def test_largest_weights_match_divisor_set(self):
         # the a3 = n/k, n in the four partial sums, k in {1, 2, 3}, that are
@@ -177,7 +198,7 @@ class TestStabilizedEnumeration:
             assert (families, got_bound) == self.bound_by_bound(start, step)
 
     def test_rejects_bad_start_or_step(self):
-        for start, step in ((0, 10), (40, -1)):
+        for start, step in ((0, 10), (40, -1), (40, 0)):
             with pytest.raises(ValueError):
                 stabilized_enumeration(start, step)
 
