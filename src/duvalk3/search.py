@@ -4,14 +4,16 @@ Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
 well-formedness and quasismoothness tests.  One serial loop takes the
 weights from the vertex linking conditions: a3 from the few values that
-link P_3, and a2 from [a1, a0+a1] or the at most four larger values that
-can link P_2.  It tests P_0, P_1 and P_2 before any filter runs, and emits
-families in canonical order.
+link P_3, and a2 from the few that can link P_2 (n/k with k <= 6 for nine
+residues n up to a0+a1, and four values above it).  It skips a triple
+whose three weights share a factor, tests P_0, P_1 and P_2 before any
+filter runs, and emits families in canonical order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .ade import ADEType, Basket
 from .catalog import CatalogRow
@@ -111,6 +113,22 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
     return found
 
 
+def _middle_weights(a0: int, a1: int, max_weight: int) -> list[int]:
+    """The a2 in [a1, max_weight] that can link P_2, ascending.
+
+    `enumerate_k3_hypersurfaces` gives the proof.
+    """
+    p = a0 + a1
+    hi = min(p, max_weight)
+    found = {n // k for n in (p, 2 * p, 3 * p, a0 + 2 * a1, 2 * a0 + a1, 2 * a1,
+                              2 * a0, a0 + 3 * a1, 3 * a0 + a1)
+             for k in range(-(-n // hi), n // a1 + 1)  # a1 <= n/k <= hi
+             if n % k == 0}
+    found.update(n for n in (2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p)
+                 if p < n <= max_weight)
+    return sorted(found)
+
+
 def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     """All weighted K3 hypersurface families with weights <= max_weight.
 
@@ -118,26 +136,39 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     once up to permutation.  Results are sorted by weights.
 
     The vertex linking conditions choose the weights.  `_largest_weights`
-    gives a3, which settles P_3.  For a2 > a0+a1 the condition at P_2
-    leaves only a2 in {2a0+a1, a0+2a1, 2a1, 2(a0+a1)}: for each candidate
-    a3 in {a0+a2, a1+a2, s} the residues d and d - a_e mod a2 are a0+a1,
-    2a0, 2a1, 2a0+a1, a0+2a1 or 2(a0+a1), each strictly between 0 and
-    2*a2, so a2 divides one only by equalling it, and a0+a1 and 2a0 are
-    below a2.  So a2 runs over [a1, a0+a1] and then those values in
-    ascending order, and each quadruple is tested at P_0, P_1 and P_2
-    before `Weights`, `well_formed` or `quasismooth` sees it.
+    gives a3, which settles P_3, and `_middle_weights` gives a2: with
+    p = a0+a1 and s = p+a2, P_2 needs a2 to divide d, d - a0, d - a1 or
+    d - a3 = s.  Mod a2, s = p and d = p+a3, so each candidate a3 leaves
+    these residues:
+
+    * a3 = a2 (only if a1 = a2): d - a0 = 3*a2, always linked;
+    * a3 = p or s: 2p, a0+2a1, 2a0+a1, p;
+    * a3 = a0+a2: 2a0+a1, 2a0, p;
+    * a3 = a1+a2: a0+2a1, 2a1, p;
+    * a3 = s/2: 2d = 3s, so a2 | d, d - a0 or d - a1 forces a2 | 3p,
+      a0+3a1 or 3a0+a1.
+
+    If a2 <= p, then a2 divides one of these nine n, and a2 >= a1 >= p/2
+    gives n <= 3p <= 6*a2.  So a2 = n/k in [a1, p] for some k <= 6 (k = 6
+    only as a2 = a1 = a0), and a1 = 2a1/2 is among them.  If a2 > p, only
+    a0+a2, a1+a2 and s remain for a3, and every residue is strictly
+    between 0 and 2*a2, so a2 equals one of 2a0+a1, a0+2a1, 2a1, 2p
+    (a0+a1 and 2a0 are below a2).  Every other a2 fails `quasismooth`, so
+    skipping it changes no result.  A triple with gcd(a0, a1, a2) > 1 is
+    skipped too: every quadruple on it fails `well_formed`.  The rest are
+    tested at P_0, P_1 and P_2 before `Weights`, `well_formed` or
+    `quasismooth` sees them.
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     families: list[K3Family] = []
     for a0 in range(1, max_weight + 1):
         for a1 in range(a0, max_weight + 1):
-            p = a0 + a1
-            linked_p2 = sorted({2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p})
-            a2s = [*range(a1, min(p, max_weight) + 1)]
-            a2s += [n for n in linked_p2 if p < n <= max_weight]
-            for a2 in a2s:
-                s = p + a2
+            g = gcd(a0, a1)
+            for a2 in _middle_weights(a0, a1, max_weight):
+                if g > 1 and gcd(g, a2) > 1:
+                    continue  # (a0, a1, a2) share a factor: not well-formed
+                s = a0 + a1 + a2
                 for a3 in _largest_weights(a0, a1, a2, max_weight):
                     d = s + a3  # d - a3 = s
                     if (

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from duvalk3.cli import (
@@ -9,6 +11,8 @@ from duvalk3.cli import (
     EX_USAGE,
     main,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -332,6 +336,23 @@ class TestSearchCommand:
         assert code == EX_OK
         first = out.splitlines()[0]
         assert first.split("\t") == ["F_4 ⊂ P(1,1,1,1)", "1,1,1,1", "4", "-", "-16"]
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("--stabilize",), "search_stabilize.txt"),
+            (("--target", "3", "--max-weight", "60"),
+             "search_target_3_max_weight_60.txt"),
+            (("--max-weight", "30", "--format", "tsv"),
+             "search_max_weight_30_tsv.txt"),
+        ],
+    )
+    def test_whole_stdout_matches_golden(self, capsys, argv, golden):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == EX_OK
+        assert err == ""
+        with open(GOLDEN / golden, encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
 
     def test_output_reloads_as_catalog(self, capsys, tmp_path):
         from duvalk3.catalog import load_catalog

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from duvalk3.ade import ADEType, Basket
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
     _largest_weights,
+    _middle_weights,
     enumerate_baskets,
     enumerate_k3_hypersurfaces,
     find_signature,
@@ -106,8 +108,9 @@ class TestEnumerateK3Hypersurfaces:
         assert got == expected
 
     def test_filters_see_only_linked_quadruples(self, monkeypatch):
-        # the linking conditions choose a2 and a3 and reject a quadruple
-        # before well_formed or quasismooth sees it: exact counts, no clock
+        # the linking conditions choose a2 and a3, a triple sharing a factor
+        # is skipped, and an unlinked quadruple is rejected before
+        # well_formed or quasismooth sees it: exact counts, no clock
         calls = {"_largest_weights": 0, "well_formed": 0, "quasismooth": 0}
         for name in calls:
             def counted(*args, _real=getattr(search, name), _name=name):
@@ -117,7 +120,7 @@ class TestEnumerateK3Hypersurfaces:
             monkeypatch.setattr(search, name, counted)
         assert len(enumerate_k3_hypersurfaces(60)) == 95
         assert calls == {
-            "_largest_weights": 21790, "well_formed": 1565, "quasismooth": 95
+            "_largest_weights": 4317, "well_formed": 368, "quasismooth": 95
         }
 
     def test_p2_unlinked_beyond_the_lemma_values(self):
@@ -131,6 +134,38 @@ class TestEnumerateK3Hypersurfaces:
             for a3 in range(a2, 51):
                 a = (a0, a1, a2, a3)
                 assert not _vertices_linked(a, sum(a)), a
+
+    def test_p2_unlinked_below_a0_plus_a1_outside_middle_weights(self):
+        # for a2 <= a0+a1 outside _middle_weights no a3 in [a2, 50] links
+        # all four vertices, not just no _largest_weights one
+        checked = 0
+        for a0, a1 in itertools.combinations_with_replacement(range(1, 51), 2):
+            middle = _middle_weights(a0, a1, 50)
+            assert middle == sorted(set(middle)), (a0, a1)
+            assert all(a1 <= a2 <= 50 for a2 in middle), (a0, a1)
+            for a2 in range(a1, min(a0 + a1, 50) + 1):
+                if a2 in middle:
+                    continue
+                for a3 in range(a2, 51):
+                    a = (a0, a1, a2, a3)
+                    assert not _vertices_linked(a, sum(a)), a
+                    checked += 1
+        assert checked == 101144
+
+    def test_triples_sharing_a_factor_never_well_formed(self):
+        # the sweep skips (a0, a1, a2) with gcd > 1: no a3 in [a2, 50]
+        # makes such a quadruple well-formed
+        for a0, a1, a2 in itertools.combinations_with_replacement(range(1, 51), 3):
+            if gcd(a0, a1, a2) > 1:
+                for a3 in range(a2, 51):
+                    assert not well_formed(Weights((a0, a1, a2, a3)))
+
+    def test_same_95_families_at_three_hundred(self):
+        # the stop rule's answer holds far past the bound it stops at
+        families = enumerate_k3_hypersurfaces(300)
+        assert len(families) == 95
+        assert max(fam.family.weights.a[3] for fam in families) == 33
+        assert families == enumerate_k3_hypersurfaces(60)
 
     def test_largest_weights_match_divisor_set(self):
         # the a3 = n/k, n in the four partial sums, k in {1, 2, 3}, that are
@@ -214,4 +249,4 @@ class TestStabilizedEnumeration:
             monkeypatch.setattr(search, name, counted)
         families, bound = stabilized_enumeration()
         assert (len(families), bound) == (95, 60)
-        assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 1565}
+        assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 368}
