@@ -143,10 +143,6 @@ class DynkinGraph:
             norm.append(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.euler_weights)
-
 
 def standard_dynkin_graph(t: ADEType, euler_weight: int = -2) -> DynkinGraph:
     """The standard tree of the given type, all vertices equally weighted."""
@@ -211,7 +207,7 @@ def cartan_matrix(t: ADEType) -> SymIntForm:
 def plumbing_form(g: DynkinGraph) -> SymIntForm:
     """Intersection form of the plumbed 4-manifold: weights on the diagonal,
     +1 across each edge."""
-    n = g.n_vertices
+    n = len(g.euler_weights)
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][i] = g.euler_weights[i]

@@ -24,8 +24,6 @@ class ParseError(ValueError):
 
     def __init__(self, line_no: int, reason: str) -> None:
         super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 class InvariantViolation(ValueError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -25,7 +24,7 @@ class UnknownGenerator(KeyError):
     """A covering map table has no entry for a generator."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SpaceLabel:
     """A named space of even real dimension."""
 
@@ -37,7 +36,7 @@ class SpaceLabel:
             raise ValueError(f"space dimension must be even >= 0, got {self.dim}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Generator:
     """A named homology generator of even degree on a space."""
 
@@ -251,14 +250,9 @@ def transfer(p: CoveringMap, c: FormalClass) -> FormalClass:
     return _apply_table(p.transfer_table, c, "transfer")
 
 
-@lru_cache(maxsize=None)
-def hodge_class_tree(n: int) -> tuple[FormalClass, int]:
-    """Hodge L-class of a tree of n rational curves, with its degree-0 part.
-
-    The class is the sum of the component fundamental classes minus (n-1)
-    points; the degree-0 coefficient -(n-1) is returned alongside.
-    Cached: the result is an immutable value depending only on n.
-    """
+def hodge_class_tree(n: int) -> FormalClass:
+    """Hodge L-class of a tree of n rational curves: the sum of the component
+    fundamental classes minus (n-1) points."""
     if n < 1:
         raise ValueError(f"a tree has at least one component, got n={n}")
     tree = SpaceLabel(f"tree{n}", 2)
@@ -266,4 +260,4 @@ def hodge_class_tree(n: int) -> tuple[FormalClass, int]:
         Generator(f"[P1_{i}]", 2, tree): 1 for i in range(1, n + 1)
     }
     terms[Generator("pt", 0, tree)] = -(n - 1)
-    return FormalClass(terms), -(n - 1)
+    return FormalClass(terms)

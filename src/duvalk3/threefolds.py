@@ -19,7 +19,6 @@ from .homology import (
     Generator,
     SpaceLabel,
     fundamental_class,
-    hodge_class_tree,
     l_class_surface,
     product_class,
     product_generator,
@@ -116,12 +115,11 @@ class KawamataDiagram:
 class NovikovDecomposition:
     """Signature bookkeeping for the crepant resolution of a K3 surface.
 
-    Tube and complement signatures add up to the resolution's; coning off
-    the boundary links adds suspensions of signature 0, so the singular
-    surface keeps the complement's signature.
+    Tube and complement signatures add up to the smooth K3 signature;
+    coning off the boundary links adds suspensions of signature 0, so the
+    singular surface keeps the complement's signature.
     """
 
-    sigma_resolution: int
     tube_signatures: tuple[int, ...]
     sigma_complement: int
 
@@ -146,11 +144,9 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     """
     sigma_k3(b)  # enforces the exceptional-curve bound
     tubes = tuple(_tube_signature(t) for t in b)
-    sigma_res = smooth_k3_signature()
     return NovikovDecomposition(
-        sigma_resolution=sigma_res,
         tube_signatures=tubes,
-        sigma_complement=sigma_res - sum(tubes),
+        sigma_complement=smooth_k3_signature() - sum(tubes),
     )
 
 
@@ -161,20 +157,16 @@ _FUND_X = Generator("[X]", 6, _X_SPACE)
 _PUSHED_PT = Generator("p_*[pt_F×E]", 2, _X_SPACE)
 
 
-def surface_space() -> SpaceLabel:
-    return _SURFACE
-
-
 def t1_surface(basket: Basket) -> FormalClass:
     """Hodge L-class of a du Val K3 surface with m = len(basket) singular points.
 
     Replays the scissor computation: the resolution contributes
     (m - 16)[pt] + [F], and each exceptional tree of d_i curves is traded
-    for its degree-0 Hodge class -(d_i - 1)[pt].  The result must agree
-    with the topological L-class sigma·[pt] + [F].
+    for its degree-0 Hodge class -(d_i - 1)[pt] (`hodge_class_tree`).  The
+    result must agree with the topological L-class sigma·[pt] + [F].
     """
-    traded = sum(hodge_class_tree(t.components)[1] for t in basket)
-    return l_class_surface(len(basket) + smooth_k3_signature() - traded, surface_space())
+    traded = sum(1 - t.components for t in basket)
+    return l_class_surface(len(basket) + smooth_k3_signature() - traded, _SURFACE)
 
 
 @lru_cache(maxsize=64)

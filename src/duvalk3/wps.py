@@ -40,9 +40,6 @@ class Weights:
             raise ValueError(f"weights must be positive, got {self.a}")
         object.__setattr__(self, "a", tuple(sorted(self.a)))
 
-    def __iter__(self):
-        return iter(self.a)
-
     def __str__(self) -> str:
         return "P({},{},{},{})".format(*self.a)
 

@@ -34,7 +34,6 @@ from duvalk3.threefolds import (
     bsy_check,
     kawamata_cover,
     sigma_k3,
-    surface_space,
     t1_surface,
     threefold_lclass,
 )
@@ -140,7 +139,7 @@ def test_criterion_3_ade_tube_signatures():
 
 
 def test_criterion_4_hodge_equals_topological_surfaces(all_baskets):
-    surface = surface_space()
+    surface = SpaceLabel("F", 4)
     failures = [
         basket.tokens()
         for basket, sigma in all_baskets

@@ -213,19 +213,17 @@ class TestCoveringMap:
 
 class TestHodgeClassTree:
     def test_single_component(self):
-        cls, degree0 = hodge_class_tree(1)
-        assert degree0 == 0
-        assert [g.label for g, _ in cls.items()] == ["[P1_1]"]
+        items = hodge_class_tree(1).items()
+        assert [c for g, c in items if g.degree == 0] == []
+        assert [g.label for g, _ in items] == ["[P1_1]"]
 
     def test_three_components(self):
-        cls, degree0 = hodge_class_tree(3)
-        assert degree0 == -2
-        items = cls.items()
+        items = hodge_class_tree(3).items()
         assert [c for g, c in items if g.degree == 0] == [-2]
         assert len([g for g, _ in items if g.degree == 2]) == 3
 
     def test_ten_components(self):
-        assert hodge_class_tree(10)[1] == -9
+        assert [c for g, c in hodge_class_tree(10).items() if g.degree == 0] == [-9]
 
     def test_rejects_empty_tree(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from duvalk3.ade import (
     plumbing_form,
     standard_dynkin_graph,
 )
-from duvalk3.homology import Generator, SpaceLabel, transfer
+from duvalk3.homology import Generator, SpaceLabel, hodge_class_tree, transfer
 from duvalk3.threefolds import (
     BoundViolation,
     KawamataDiagram,
@@ -24,7 +24,6 @@ from duvalk3.threefolds import (
     sigma_k3,
     signature_from_hodge,
     smooth_k3_signature,
-    surface_space,
     t1_surface,
     threefold_lclass,
 )
@@ -173,23 +172,35 @@ class TestTubeSignatureTable:
 
 class TestT1Surface:
     def test_smooth_case(self):
-        F = surface_space()
+        F = SpaceLabel("F", 4)
         assert t1_surface(Basket()) == l_class_surface(-16, F)
 
     def test_five_a1(self):
         c = t1_surface(Basket.parse("5A_1"))
-        F = surface_space()
+        F = SpaceLabel("F", 4)
         assert c.coefficient(Generator("pt", 0, F)) == -11
         assert c == l_class_surface(-11, F)
 
     def test_table_f30_row(self):
         c = t1_surface(Basket.parse("A_1 A_7 A_10"))
-        assert c == l_class_surface(2, surface_space())
+        assert c == l_class_surface(2, SpaceLabel("F", 4))
 
     def test_agrees_with_l_class_on_small_baskets(self):
-        F = surface_space()
+        F = SpaceLabel("F", 4)
         for b, sigma in enumerate_baskets(6):
             assert t1_surface(b) == l_class_surface(sigma, F)
+
+    def test_ties_to_hodge_class_tree(self):
+        # t1_surface sums the trees' degree-0 parts itself; they must stay
+        # the pt coefficients of hodge_class_tree
+        types = (
+            [ADEType("A", r) for r in range(1, RANK_CAP + 1)]
+            + [ADEType("D", r) for r in range(4, RANK_CAP + 1)]
+            + [ADEType("E", r) for r in (6, 7, 8)]
+        )
+        for t in types:
+            c = sum(v for g, v in hodge_class_tree(t.components).items() if g.label == "pt")
+            assert t1_surface(Basket((t,))) == l_class_surface(-16 + 1 - c, SpaceLabel("F", 4))
 
 
 class TestKawamataCover:
