@@ -18,6 +18,7 @@ from .homology import (
     FormalClass,
     Generator,
     SpaceLabel,
+    _apply_table,
     fundamental_class,
     l_class_surface,
     product_class,
@@ -242,28 +243,37 @@ class BsyReport:
         ]
 
 
+@lru_cache(maxsize=64)  # bounded like kawamata_cover's cache
+def _fiber_fold(q: int, degree: int) -> tuple[SpaceLabel, dict[Generator, FormalClass]]:
+    """F and its fiber map c -> p_*(c × [E]) / degree, from the cover's tables."""
+    f_space, e_space, cover = kawamata_cover(q, degree)
+    torus = fundamental_class(e_space)  # smooth, signature 0 in every dimension
+    basis = l_class_surface(1, f_space) if q == 1 else fundamental_class(f_space)
+    scale = Fraction(1, degree)
+    return f_space, {
+        g: pushforward(cover, product_class(FormalClass({g: 1}), torus)).scale(scale)
+        for g, _ in basis.items()
+    }
+
+
 def bsy_check(k: KawamataDiagram) -> BsyReport:
     """Derive the 3-fold class along the Hodge and topological routes.
 
-    Both routes multiply a fiber class by the torus class [E], push
-    forward along the cover and divide by its degree; they differ only in
-    the fiber class.  Topological: the L-class of F.  Hodge: for a
-    singular (q(F) = 0) surface, the class rebuilt from the scissor
-    computation; any other fiber is nonsingular with signature 0.  Both
-    must equal the closed-form class term for term.
+    Each route is one fiber map per cover (`_fiber_fold`, derived from the
+    cover's tables): times [E], pushed forward, divided by the degree.  The
+    routes differ only in the fiber class.  Topological: the L-class of F.
+    Hodge: for a singular (q(F) = 0) surface, the class rebuilt from the
+    scissor computation; any other fiber is nonsingular with signature 0.
+    Both must equal the closed-form class term for term.
     """
-    f_space, e_space, cover = kawamata_cover(k.q, k.cover_degree)
+    f_space, fold = _fiber_fold(k.q, k.cover_degree)
     fiber = k.fiber
     surface = fiber is not None
     sigma_f = fiber.sigma if surface else 0
     l_fiber = l_class_surface(sigma_f, f_space) if surface else fundamental_class(f_space)
     singular = surface and fiber.q == 0
     t_fiber = t1_surface(fiber.basket) if singular else fundamental_class(f_space)
-    torus = fundamental_class(e_space)  # smooth, signature 0 in every dimension
-    hodge, topological = (
-        pushforward(cover, product_class(c, torus)).scale(Fraction(1, k.cover_degree))
-        for c in (t_fiber, l_fiber)
-    )
+    hodge, topological = (_apply_table(fold, c, "fiber") for c in (t_fiber, l_fiber))
     return BsyReport(
         diagram=k,
         fiber_sigma=sigma_f,

@@ -51,6 +51,9 @@ GOLDEN_RECORDS = [
     (("bsy", "--q", "2", "--basket", "A_1"), "bsy_basket_q_2.txt", EX_USAGE),
     ((), "no_command.txt", EX_USAGE),
     (("frobnicate",), "unknown_command.txt", EX_USAGE),
+    (("search", "--max-weight", "0"), "search_max_weight_0.txt", EX_USAGE),
+    (("table", "verify", "--catalog", str(GOLDEN / "malformed_catalog.txt")),
+     "table_verify_malformed_catalog.txt", EX_DATAERR),
 ]
 
 

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duvalk3 import threefolds
 from duvalk3.ade import (
@@ -13,7 +14,17 @@ from duvalk3.ade import (
     plumbing_form,
     standard_dynkin_graph,
 )
-from duvalk3.homology import Generator, SpaceLabel, hodge_class_tree, transfer
+from duvalk3.homology import (
+    FormalClass,
+    Generator,
+    SpaceLabel,
+    _apply_table,
+    fundamental_class,
+    hodge_class_tree,
+    product_class,
+    pushforward,
+    transfer,
+)
 from duvalk3.threefolds import (
     BoundViolation,
     KawamataDiagram,
@@ -217,6 +228,55 @@ class TestKawamataCover:
         info = kawamata_cover.cache_info()
         assert 24 <= info.maxsize
         assert info.currsize <= info.maxsize
+
+
+class TestFiberFold:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from((1, 2, 3)),
+        st.integers(1, 12),
+        st.lists(st.fractions(max_denominator=60), min_size=2, max_size=2),
+    )
+    def test_equals_product_pushforward_and_division(self, q, d, coeffs):
+        f_space, e_space, cover = kawamata_cover(q, d)
+        gens = [Generator("[F]", f_space.dim, f_space)]
+        if q == 1:
+            gens.append(Generator("pt", 0, f_space))
+        c = FormalClass(dict(zip(gens, coeffs)))
+        space, fold = threefolds._fiber_fold(q, d)
+        assert space == f_space and set(fold) == set(gens)
+        composed = pushforward(cover, product_class(c, fundamental_class(e_space)))
+        expected = composed.scale(Fraction(1, d))
+        assert _apply_table(fold, c, "fiber").items() == expected.items()
+
+    def test_cache_is_bounded(self):
+        for degree in range(1, 1001):
+            threefolds._fiber_fold(2, degree)
+        info = threefolds._fiber_fold.cache_info()
+        assert 24 <= info.maxsize
+        assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            KawamataDiagram(1, 5, SurfaceModel(Basket.parse("A_1 A_7 A_10"))),
+            KawamataDiagram(1, 3, SurfaceModel(q=2)),
+            KawamataDiagram(2, 4),
+            KawamataDiagram(3, 7),
+        ],
+    )
+    def test_bsy_check_builds_at_most_six_classes(self, monkeypatch, k):
+        bsy_check(k)  # warms the cover and fold caches
+        built = []
+        init = FormalClass.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FormalClass, "__init__", counting_init)
+        assert bsy_check(k).passed
+        assert len(built) <= 6
 
 
 class TestThreefoldLClass:
