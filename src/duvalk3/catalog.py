@@ -89,8 +89,6 @@ def _parse_ints(text: str, line_no: int, what: str) -> tuple[int, ...]:
         values = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(line_no, f"bad {what} {text!r}") from None
-    if not values:
-        raise ParseError(line_no, f"empty {what}")
     return values
 
 

@@ -50,6 +50,15 @@ def smooth_k3_signature() -> int:
     return signature_from_hodge(K3_H20, K3_H11)
 
 
+def _check_curve_bound(curves: int) -> int:
+    """Return the exceptional-curve count; raise BoundViolation past 19."""
+    if curves > EXCEPTIONAL_CURVE_BOUND:
+        raise BoundViolation(
+            f"basket has {curves} exceptional curves, bound is {EXCEPTIONAL_CURVE_BOUND}"
+        )
+    return curves
+
+
 def sigma_k3(b: Basket, q: int = 0) -> int:
     """Signature of a du Val surface with trivial canonical class.
 
@@ -63,13 +72,7 @@ def sigma_k3(b: Basket, q: int = 0) -> int:
         if b.entries:
             raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")
         return 0
-    total_d = b.total_d
-    if total_d > EXCEPTIONAL_CURVE_BOUND:
-        raise BoundViolation(
-            f"basket has {total_d} exceptional curves, "
-            f"bound is {EXCEPTIONAL_CURVE_BOUND}"
-        )
-    return smooth_k3_signature() + total_d
+    return smooth_k3_signature() + _check_curve_bound(b.total_d)
 
 
 @dataclass(frozen=True)
@@ -143,7 +146,7 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     intersection form of the tube (the negated Cartan matrix of its type),
     computed once per ADE type per process and never read off the rank.
     """
-    sigma_k3(b)  # enforces the exceptional-curve bound
+    _check_curve_bound(b.total_d)
     tubes = tuple(_tube_signature(t) for t in b)
     return NovikovDecomposition(
         tube_signatures=tubes,
@@ -167,10 +170,10 @@ def t1_surface(basket: Basket) -> FormalClass:
     result must agree with the topological L-class sigma·[pt] + [F].
     """
     traded = sum(1 - t.components for t in basket)
-    return l_class_surface(len(basket) + smooth_k3_signature() - traded, _SURFACE)
+    sigma = smooth_k3_signature() + _check_curve_bound(len(basket) - traded)
+    return l_class_surface(sigma, _SURFACE)
 
 
-@lru_cache(maxsize=64)
 def kawamata_cover(q: int, degree: int) -> tuple[SpaceLabel, SpaceLabel, CoveringMap]:
     """Spaces F, E and the covering map p: F x E -> X of a 3-fold with q(X) = q.
 
@@ -179,9 +182,7 @@ def kawamata_cover(q: int, degree: int) -> tuple[SpaceLabel, SpaceLabel, Coverin
     product fundamental class to degree·[X] and, for a surface fiber, the
     point-times-torus class to the named generator p_*[pt_F×E]; the
     transfer table is the unique one compatible with p_* p_! = degree.
-    Cached: a cover is an immutable value depending only on (q, degree).
-    The cache keeps the 64 most recently used covers, enough for every
-    (q, degree) of degrees 1..12 without a miss once warm.
+    Not cached: `_fiber_fold` is the one per-cover cache.
     """
     f_space = SpaceLabel("F", 6 - 2 * q)
     e_space = SpaceLabel("E", 2 * q)
@@ -243,7 +244,7 @@ class BsyReport:
         ]
 
 
-@lru_cache(maxsize=64)  # bounded like kawamata_cover's cache
+@lru_cache(maxsize=64)  # degrees 1..12 give 36 (q, degree) pairs
 def _fiber_fold(q: int, degree: int) -> tuple[SpaceLabel, dict[Generator, FormalClass]]:
     """F and its fiber map c -> p_*(c × [E]) / degree, from the cover's tables."""
     f_space, e_space, cover = kawamata_cover(q, degree)

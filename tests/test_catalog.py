@@ -89,6 +89,12 @@ class TestLoadCatalog:
         with pytest.raises(ParseError):
             load_catalog("X | 1,two,3,4 | 10 | - | -16\n")
 
+    def test_empty_int_fields(self):
+        with pytest.raises(ParseError, match="line 1: bad weights ''$"):
+            load_catalog("X |  | 4 | - | -16\n")
+        with pytest.raises(ParseError, match="line 1: bad degrees ''$"):
+            load_catalog("X | 1,1,1,1 |  | - | -16\n")
+
     def test_bad_basket_token(self):
         with pytest.raises(ParseError):
             load_catalog("X | 1,1,1,1 | 4 | Z_9 | -16\n")

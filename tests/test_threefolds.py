@@ -203,15 +203,33 @@ class TestT1Surface:
 
     def test_ties_to_hodge_class_tree(self):
         # t1_surface sums the trees' degree-0 parts itself; they must stay
-        # the pt coefficients of hodge_class_tree
+        # the pt coefficients of hodge_class_tree.  A type past 19 curves
+        # fits in no K3 basket, and t1_surface refuses it.
         types = (
             [ADEType("A", r) for r in range(1, RANK_CAP + 1)]
             + [ADEType("D", r) for r in range(4, RANK_CAP + 1)]
             + [ADEType("E", r) for r in (6, 7, 8)]
         )
         for t in types:
+            if t.components > threefolds.EXCEPTIONAL_CURVE_BOUND:
+                with pytest.raises(BoundViolation):
+                    t1_surface(Basket((t,)))
+                continue
             c = sum(v for g, v in hodge_class_tree(t.components).items() if g.label == "pt")
             assert t1_surface(Basket((t,))) == l_class_surface(-16 + 1 - c, SpaceLabel("F", 4))
+
+    def test_curve_bound_shared_with_sigma_and_novikov(self):
+        checks = (sigma_k3, novikov_assembly, t1_surface)
+        b = Basket.parse("A_19")
+        assert sigma_k3(b) == 3
+        assert novikov_assembly(b).sigma_surface == 3
+        assert t1_surface(b) == l_class_surface(3, SpaceLabel("F", 4))
+        for tokens, curves in (("A_19 A_1", 20), ("20A_1", 20), ("2A_20", 40)):
+            message = f"basket has {curves} exceptional curves, bound is 19"
+            for check in checks:
+                with pytest.raises(BoundViolation) as exc:
+                    check(Basket.parse(tokens))
+                assert str(exc.value) == message, check.__name__
 
 
 class TestKawamataCover:
@@ -220,14 +238,6 @@ class TestKawamataCover:
             f_space, e_space, cover = kawamata_cover(q, 3)
             assert (f_space, e_space) == (SpaceLabel("F", 6 - 2 * q), SpaceLabel("E", 2 * q))
             assert cover.degree == 3
-            assert kawamata_cover(q, 3) is kawamata_cover(q, 3)
-
-    def test_cache_is_bounded(self):
-        for degree in range(1, 1001):
-            kawamata_cover(2, degree)
-        info = kawamata_cover.cache_info()
-        assert 24 <= info.maxsize
-        assert info.currsize <= info.maxsize
 
 
 class TestFiberFold:
