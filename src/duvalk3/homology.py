@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .ade import RANK_CAP
+
 Scalar = Union[int, Fraction]
 
 
@@ -252,9 +254,9 @@ def transfer(p: CoveringMap, c: FormalClass) -> FormalClass:
 
 def hodge_class_tree(n: int) -> FormalClass:
     """Hodge L-class of a tree of n rational curves: the sum of the component
-    fundamental classes minus (n-1) points."""
-    if n < 1:
-        raise ValueError(f"a tree has at least one component, got n={n}")
+    fundamental classes minus (n-1) points.  Refuses n past RANK_CAP."""
+    if not 1 <= n <= RANK_CAP:
+        raise ValueError(f"a tree has 1 to {RANK_CAP} components, got n={n}")
     tree = SpaceLabel(f"tree{n}", 2)
     terms: dict[Generator, Scalar] = {
         Generator(f"[P1_{i}]", 2, tree): 1 for i in range(1, n + 1)

@@ -4,10 +4,10 @@ Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
 well-formedness and quasismoothness tests.  One serial loop takes the
 weights from the vertex linking conditions: a3 from the few values that
-link P_3, and a2 from the few that can link P_2 (n/k with k <= 6 for nine
-residues n up to a0+a1, and four values above it).  It skips a triple
-whose three weights share a factor, tests P_0, P_1 and P_2 before any
-filter runs, and emits families in canonical order.
+link P_3, and a2 from the few that can link P_2 (at most eleven closed-form
+values up to a0+a1, and four above it).  It skips a triple whose three
+weights share a factor, tests P_0, P_1 and P_2 before any filter runs,
+and emits families in canonical order.
 """
 
 from __future__ import annotations
@@ -69,13 +69,7 @@ class K3Family:
 
     def to_row(self) -> CatalogRow:
         f = self.family
-        return CatalogRow(
-            name=str(f),
-            weights=f.weights.a,
-            degrees=(f.degree,),
-            basket=self.basket,
-            sigma=self.sigma,
-        )
+        return CatalogRow(str(f), f.weights.a, (f.degree,), self.basket, self.sigma)
 
 
 def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
@@ -114,19 +108,27 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
 
 
 def _middle_weights(a0: int, a1: int, max_weight: int) -> list[int]:
-    """The a2 in [a1, max_weight] that can link P_2, ascending.
-
-    `enumerate_k3_hypersurfaces` gives the proof.
-    """
+    """The a2 in [a1, max_weight] that can link P_2, ascending; the proof is
+    in `enumerate_k3_hypersurfaces`."""
     p = a0 + a1
-    hi = min(p, max_weight)
-    found = {n // k for n in (p, 2 * p, 3 * p, a0 + 2 * a1, 2 * a0 + a1, 2 * a1,
-                              2 * a0, a0 + 3 * a1, 3 * a0 + a1)
-             for k in range(-(-n // hi), n // a1 + 1)  # a1 <= n/k <= hi
-             if n % k == 0}
-    found.update(n for n in (2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p)
-                 if p < n <= max_weight)
-    return sorted(found)
+    found = [a1, p, 2 * a0, 2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p]
+    if p % 2 == 0:
+        found.append((3 * a0 + a1) // 2)
+    if p % 3 == 0:
+        found.append(2 * p // 3)
+    if p % 4 == 0:
+        found.append(3 * p // 4)
+    if p % 5 == 0:
+        found.append(3 * p // 5)
+    if a0 % 2 == 0:
+        found.append(a1 + a0 // 2)
+    if a0 % 3 == 0:
+        found.append(a1 + a0 // 3)
+    if a1 % 2 == 0:
+        found.append(a0 + a1 // 2)
+    if a1 % 3 == 0:
+        found.append(a0 + a1 // 3)
+    return sorted({n for n in found if a1 <= n <= max_weight})
 
 
 def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
@@ -148,16 +150,17 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     * a3 = s/2: 2d = 3s, so a2 | d, d - a0 or d - a1 forces a2 | 3p,
       a0+3a1 or 3a0+a1.
 
-    If a2 <= p, then a2 divides one of these nine n, and a2 >= a1 >= p/2
-    gives n <= 3p <= 6*a2.  So a2 = n/k in [a1, p] for some k <= 6 (k = 6
-    only as a2 = a1 = a0), and a1 = 2a1/2 is among them.  If a2 > p, only
-    a0+a2, a1+a2 and s remain for a3, and every residue is strictly
-    between 0 and 2*a2, so a2 equals one of 2a0+a1, a0+2a1, 2a1, 2p
-    (a0+a1 and 2a0 are below a2).  Every other a2 fails `quasismooth`, so
-    skipping it changes no result.  A triple with gcd(a0, a1, a2) > 1 is
-    skipped too: every quadruple on it fails `well_formed`.  The rest are
-    tested at P_0, P_1 and P_2 before `Weights`, `well_formed` or
-    `quasismooth` sees them.
+    If a2 <= p, then a2 = n/k for one of these nine n, with
+    n/p <= k <= n/a1 <= 2n/p as a1 >= p/2.  Where integral, those k give
+    p, 2p/3, 3p/4, 3p/5, 2a1/2 = a1, 2a0, (a0+2a1)/2, (a0+3a1)/3,
+    (2a0+a1)/2, (3a0+a1)/2 and (3a0+a1)/3, besides repeats of p, and of a1
+    when a0 = a1; a2 is one of them in [a1, p].  If a2 > p, only a0+a2,
+    a1+a2 and s remain for a3, and every residue is strictly between 0 and
+    2*a2, so a2 equals one of 2a0+a1, a0+2a1, 2a1, 2p (a0+a1 and 2a0 are
+    below a2).  Every other a2 fails `quasismooth`, so skipping it changes
+    no result.  A triple with gcd(a0, a1, a2) > 1 is skipped too: every
+    quadruple on it fails `well_formed`.  The rest are tested at P_0, P_1
+    and P_2 before `Weights`, `well_formed` or `quasismooth` sees them.
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
@@ -190,11 +193,7 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
 
 def find_signature(target: int, max_weight: int) -> list[K3Family]:
     """Families whose general member realizes the target signature."""
-    return [
-        fam
-        for fam in enumerate_k3_hypersurfaces(max_weight)
-        if fam.sigma == target
-    ]
+    return [f for f in enumerate_k3_hypersurfaces(max_weight) if f.sigma == target]
 
 
 def stabilized_enumeration(
@@ -206,17 +205,14 @@ def stabilized_enumeration(
     consecutive raises leave the count unchanged; returns the final
     families and bound.  Each stability check is one sweep at the bound:
     the sweep at W holds exactly the families of every W' <= W with
-    a3 <= W', so the counts at W - step and W - 2*step are read off it.
+    a3 <= W', so the counts at W - step and W - 2*step both equal its own
+    iff every family it finds has a3 <= W - 2*step.
     """
     if start < 1 or step < 1:
         raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
     bound = start + 2 * step
     while True:
         families = enumerate_k3_hypersurfaces(bound)
-        lower = [
-            sum(fam.family.weights.a[3] <= w for fam in families)
-            for w in (bound - 2 * step, bound - step)
-        ]
-        if lower == [len(families)] * 2:
+        if all(fam.family.weights.a[3] <= bound - 2 * step for fam in families):
             return families, bound
         bound += step

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from duvalk3 import homology
+from duvalk3.ade import RANK_CAP
 from duvalk3.homology import (
     CoveringMap,
     DimensionMismatch,
@@ -228,3 +230,12 @@ class TestHodgeClassTree:
     def test_rejects_empty_tree(self):
         with pytest.raises(ValueError):
             hodge_class_tree(0)
+
+    def test_refuses_past_rank_cap_before_building(self, monkeypatch):
+        assert len(hodge_class_tree(RANK_CAP).items()) == RANK_CAP + 1
+        built = []
+        monkeypatch.setattr(homology, "Generator", lambda *args: built.append(args))
+        for n in (RANK_CAP + 1, 10**6):
+            with pytest.raises(ValueError, match="components"):
+                hodge_class_tree(n)
+        assert built == []

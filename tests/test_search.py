@@ -183,6 +183,28 @@ class TestEnumerateK3Hypersurfaces:
                     a0, a1, a2, max_weight
                 ), (a0, a1, a2, max_weight)
 
+    def test_middle_weights_match_divisor_set(self):
+        # every a2 = n/k in [a1, min(a0+a1, W)] for the nine P_2 residues n,
+        # and the four values above a0+a1: the set the closed form must
+        # reproduce, in order
+        def divisor_set(a0, a1, max_weight):
+            p = a0 + a1
+            hi = min(p, max_weight)
+            residues = (p, 2 * p, 3 * p, a0 + 2 * a1, 2 * a0 + a1, 2 * a1,
+                        2 * a0, a0 + 3 * a1, 3 * a0 + a1)
+            found = {n // k for n in residues
+                     for k in range(-(-n // hi), n // a1 + 1)  # a1 <= n/k <= hi
+                     if n % k == 0}
+            found.update(n for n in (2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p)
+                         if p < n <= max_weight)
+            return sorted(found)
+
+        for a0, a1 in itertools.combinations_with_replacement(range(1, 151), 2):
+            for max_weight in (a1, 60, 150):
+                assert _middle_weights(a0, a1, max_weight) == divisor_set(
+                    a0, a1, max_weight
+                ), (a0, a1, max_weight)
+
     def test_to_row_round_trips_through_catalog_grammar(self):
         from duvalk3.catalog import load_catalog
 

@@ -276,7 +276,7 @@ class TestFiberFold:
         ],
     )
     def test_bsy_check_builds_at_most_six_classes(self, monkeypatch, k):
-        bsy_check(k)  # warms the cover and fold caches
+        bsy_check(k)  # warms the fold cache
         built = []
         init = FormalClass.__init__
 
