@@ -20,22 +20,52 @@ _KINDS = ("A", "D", "E")
 _TOKEN_RE = re.compile(r"^(\d*)\s*([ADE])_?(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
+def _problem(kind: object, rank: object) -> str | None:
+    """Why ``(kind, rank)`` names no ADE type, or None if it names one."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        return f"unknown Dynkin kind {kind!r}"
+    if type(rank) is not int:  # a dict lookup would take 3.0 and True as 3 and 1
+        return f"rank {rank!r} is not an int"
+    if not 1 <= rank <= RANK_CAP:
+        return f"rank {rank} outside [1, {RANK_CAP}]"
+    if kind == "D" and rank < 4:
+        return f"D_{rank} is not simply laced (need rank >= 4)"
+    if kind == "E" and rank not in (6, 7, 8):
+        return f"E_{rank} does not exist (rank must be 6, 7 or 8)"
+    return None
+
+
 class ADEType:
-    """A simply laced Dynkin type; ``rank`` counts its exceptional curves."""
+    """A simply laced Dynkin type; ``rank`` counts its exceptional curves.
 
-    kind: str
-    rank: int
+    Interned: ``ADEType(kind, rank)`` returns one of the 128 types built at
+    import, so ``==`` and ``hash`` are identity; ``<`` and ``<=`` (``>`` and
+    ``>=`` by reflection) compare ``key``, the index in (kind, rank) order."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown Dynkin kind {self.kind!r}")
-        if not 1 <= self.rank <= RANK_CAP:
-            raise ValueError(f"rank {self.rank} outside [1, {RANK_CAP}]")
-        if self.kind == "D" and self.rank < 4:
-            raise ValueError(f"D_{self.rank} is not simply laced (need rank >= 4)")
-        if self.kind == "E" and self.rank not in (6, 7, 8):
-            raise ValueError(f"E_{self.rank} does not exist (rank must be 6, 7 or 8)")
+    __slots__ = ("kind", "rank", "key")
+
+    def __new__(cls, kind: str, rank: int) -> "ADEType":
+        t = _TYPES.get((kind, rank)) if isinstance(kind, str) and type(rank) is int else None
+        if t is None:
+            raise ValueError(_problem(kind, rank))
+        return t
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"ADEType is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return ADEType, (self.kind, self.rank)
+
+    def __lt__(self, other: object) -> bool:
+        return self.key < other.key if isinstance(other, ADEType) else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self.key <= other.key if isinstance(other, ADEType) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ADEType(kind={self.kind!r}, rank={self.rank!r})"
 
     @property
     def components(self) -> int:
@@ -52,6 +82,19 @@ class ADEType:
         if mult is not None:
             raise ValueError(f"bad ADE type token {token!r}")
         return t
+
+
+def _interned(kind: str, rank: int, key: int) -> ADEType:
+    t = object.__new__(ADEType)
+    for name, value in zip(ADEType.__slots__, (kind, rank, key)):
+        object.__setattr__(t, name, value)
+    return t
+
+
+_PAIRS = [(k, r) for k in _KINDS for r in range(1, RANK_CAP + 1) if _problem(k, r) is None]
+_TYPES = {pair: _interned(*pair, key) for key, pair in enumerate(_PAIRS)}
+ADE_TYPES = tuple(_TYPES.values())  # all 128, in (kind, rank) order
+_key_of = ADEType.key.__get__  # raises TypeError on anything but an ADEType
 
 
 def _parse_token(token: str) -> tuple[int | None, ADEType]:
@@ -71,14 +114,14 @@ def repeated(t: ADEType, mult: int) -> list[ADEType]:
     return [t] * mult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basket:
     """A multiset of du Val singularity types carried by a surface."""
 
     entries: tuple[ADEType, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+        object.__setattr__(self, "entries", tuple(sorted(self.entries, key=_key_of)))
 
     @property
     def total_d(self) -> int:

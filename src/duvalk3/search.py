@@ -15,20 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ade import ADEType, Basket
+from .ade import ADE_TYPES, ADEType, Basket
 from .catalog import CatalogRow
 from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
 from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 DEFAULT_MAX_WEIGHT = 40
 STABILIZE_STEP = 10
-
-
-def _all_types(max_rank: int) -> list[ADEType]:
-    types = [ADEType("A", r) for r in range(1, max_rank + 1)]
-    types += [ADEType("D", r) for r in range(4, max_rank + 1)]
-    types += [ADEType("E", r) for r in (6, 7, 8) if r <= max_rank]
-    return sorted(types)
 
 
 def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
@@ -43,7 +36,7 @@ def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
         raise BoundViolation(
             f"K3 baskets carry at most {EXCEPTIONAL_CURVE_BOUND} curves"
         )
-    types = _all_types(max_total_d)
+    types = [t for t in ADE_TYPES if t.rank <= max_total_d]
     out: list[tuple[Basket, int]] = []
 
     def extend(start: int, chosen: list[ADEType], left: int) -> None:

@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duvalk3.ade import (
+    ADE_TYPES,
+    RANK_CAP,
     ADEType,
     Basket,
     DynkinGraph,
@@ -71,6 +77,87 @@ class TestADEType:
             ADEType.parse("3A_2")  # multiplicity belongs to basket tokens
 
 
+ALL_PAIRS = sorted((t.kind, t.rank) for t in all_types(RANK_CAP))
+
+
+class TestInternedTypes:
+    def test_there_are_128_in_tuple_order(self):
+        assert len(ALL_PAIRS) == 128
+        assert [(t.kind, t.rank) for t in ADE_TYPES] == ALL_PAIRS
+        shuffled = [ADEType(k, r) for k, r in ALL_PAIRS]
+        random.Random(0).shuffle(shuffled)
+        assert [(t.kind, t.rank) for t in sorted(shuffled)] == ALL_PAIRS
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge,
+                                    operator.eq, operator.ne])
+    def test_comparisons_agree_with_tuples(self, op):
+        for p, q in product(ALL_PAIRS, repeat=2):
+            assert op(ADEType(*p), ADEType(*q)) is op(p, q), (op, p, q)
+
+    def test_one_shared_instance_per_type(self):
+        for k, r in ALL_PAIRS:
+            t = ADEType(k, r)
+            assert t is ADEType(k, r) is ADEType.parse(f"{k}_{r}")
+            assert hash(t) == hash(ADEType(k, r))
+
+    def test_repr_and_str(self):
+        for k, r in ALL_PAIRS:
+            assert repr(ADEType(k, r)) == f"ADEType(kind={k!r}, rank={r})"
+            assert str(ADEType(k, r)) == f"{k}_{r}"
+
+    def test_pickle_and_copy_return_the_same_instance(self):
+        for t in ADE_TYPES:
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, proto)) is t
+            assert copy.copy(t) is t
+            assert copy.deepcopy(t) is t
+        b = Basket.parse("4A_1 D_4")
+        assert pickle.loads(pickle.dumps(b)) == b
+        assert copy.deepcopy(b).entries[0] is ADEType("A", 1)
+
+    @pytest.mark.parametrize("name", ["kind", "rank", "key", "other"])
+    def test_assignment_and_deletion_refused(self, name):
+        t = ADEType("A", 2)
+        with pytest.raises(AttributeError):
+            setattr(t, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert (t.kind, t.rank) == ("A", 2)
+
+    @pytest.mark.parametrize("kind,rank,message", [
+        ("A", 0, "rank 0 outside [1, 64]"),
+        ("A", 65, "rank 65 outside [1, 64]"),
+        ("D", 3, "D_3 is not simply laced (need rank >= 4)"),
+        ("E", 5, "E_5 does not exist (rank must be 6, 7 or 8)"),
+        ("E", 9, "E_9 does not exist (rank must be 6, 7 or 8)"),
+        ("B", 2, "unknown Dynkin kind 'B'"),
+    ])
+    def test_invalid_messages_unchanged(self, kind, rank, message):
+        with pytest.raises(ValueError) as exc:
+            ADEType(kind, rank)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rank", [3.0, True, False, "3", None, 2.5])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(ValueError, match="is not an int"):
+            ADEType("A", rank)
+
+    @pytest.mark.parametrize("kind", [1, None, b"A", ["A"], ("A",)])
+    def test_kind_must_be_a_str(self, kind):
+        with pytest.raises(ValueError, match="unknown Dynkin kind"):
+            ADEType(kind, 3)
+
+    @pytest.mark.parametrize("other", [("A", 1), 1, "A_1", None, 1.5])
+    def test_ordering_against_other_values_raises(self, other):
+        t = ADEType("A", 1)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(t, other)
+            with pytest.raises(TypeError):
+                op(other, t)
+        assert t != other and not t == other
+
+
 class TestBasket:
     def test_canonical_order_and_total(self):
         b = Basket((ADEType("D", 4), ADEType("A", 2), ADEType("A", 2)))
@@ -83,6 +170,17 @@ class TestBasket:
         assert Basket.parse(b.tokens()) == b
         assert Basket.parse("-") == Basket()
         assert Basket().tokens() == "-"
+
+    @pytest.mark.parametrize("entries", [("A", "B"), ("A_1",), (ADEType("A", 1), ("A", 2)), (None,)])
+    def test_refuses_entries_that_are_not_types(self, entries):
+        with pytest.raises(TypeError):
+            Basket(entries)
+
+    def test_slotted(self):
+        b = Basket.parse("A_1")
+        assert not hasattr(b, "__dict__")
+        with pytest.raises(AttributeError):
+            b.entries = ()
 
     def test_parse_comma_separated(self):
         assert Basket.parse("A_1, 3A_2") == Basket.parse("A_1 3A_2")

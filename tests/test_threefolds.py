@@ -157,6 +157,16 @@ class TestTubeSignatureTable:
             novikov_assembly(b)
         assert calls == []
 
+    def test_table_stays_within_the_interned_types(self):
+        baskets = [b for b, _ in enumerate_baskets(19)]
+        for b in baskets:
+            novikov_assembly(b)
+        size = threefolds._tube_signature.cache_info().currsize
+        assert size <= 128
+        for b in baskets:  # types built afresh from tokens hit the same keys
+            novikov_assembly(Basket.parse(b.tokens()))
+        assert threefolds._tube_signature.cache_info().currsize == size
+
     def test_every_type_matches_a_fresh_signature(self):
         types = (
             [ADEType("A", r) for r in range(1, RANK_CAP + 1)]
