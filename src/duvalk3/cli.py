@@ -107,29 +107,22 @@ def _cmd_plumbing(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _load_catalog_rows(path: str | None):
-    """Returns (rows, exit_code); rows is None when exit_code != 0."""
-    if path is None:
+def _cmd_table_verify(args: argparse.Namespace) -> int:
+    path = args.catalog
+    if path is None:  # an empty --catalog is a path; an empty variable is unset
         path = os.environ.get(CATALOG_ENV) or None
     if path is None:
-        return list(embedded_catalog()), EX_OK
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot open catalog: {exc}", file=sys.stderr)
-        return None, EX_NOINPUT
-    try:
-        return load_catalog(text), EX_OK
-    except (ParseError, InvariantViolation) as exc:
-        print(f"catalog error: {exc}", file=sys.stderr)
-        return None, EX_DATAERR
-
-
-def _cmd_table_verify(args: argparse.Namespace) -> int:
-    rows, code = _load_catalog_rows(args.catalog)
-    if code != EX_OK:
-        return code
+        rows = embedded_catalog()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rows = load_catalog(fh.read())
+        except OSError as exc:
+            print(f"cannot open catalog: {exc}", file=sys.stderr)
+            return EX_NOINPUT
+        except (ParseError, InvariantViolation) as exc:
+            print(f"catalog error: {exc}", file=sys.stderr)
+            return EX_DATAERR
     mismatched = 0
     for row in rows:
         report = verify_row(row)

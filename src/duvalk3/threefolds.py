@@ -31,8 +31,9 @@ from .homology import (
 K3_H20 = 1
 K3_H11 = 20
 
-# A du Val K3 carries at most 19 exceptional curves in total.
-EXCEPTIONAL_CURVE_BOUND = 19
+# The exceptional curves span a negative-definite sublattice of H^{1,1},
+# orthogonal to an ample class, so there are at most h^{1,1} - 1 = 19.
+EXCEPTIONAL_CURVE_BOUND = K3_H11 - 1
 
 
 class BoundViolation(ValueError):

@@ -1,10 +1,10 @@
 """Independent quasismoothness oracle: brute force over the degree-d monomials.
 
-Kept separate from the production path (the reachability masks and the
-vertex linking test of ``duvalk3.wps``): it tries every exponent vector
-of weighted degree d, keeps each monomial's support and its exponents
-equal to 1, and applies to that list the two requirements stated in the
-``quasismooth`` docstring,
+Kept separate from the production path (the least reachable degree per
+residue class and the vertex linking test of ``duvalk3.wps``): it tries
+every exponent vector of weighted degree d, keeps each monomial's support
+and its exponents equal to 1, and applies to that list the two requirements
+stated in the ``quasismooth`` docstring,
 
 * for every nonempty coordinate subset I, some monomial is supported on I
   alone, or monomials (monomial in I)*x_e exist for at least |I| distinct

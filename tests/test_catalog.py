@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from duvalk3.ade import Basket
@@ -70,6 +72,19 @@ class TestVerifyRow:
         fields = {c.field for c in report.mismatches()}
         assert fields == {"basket", "sigma"}
 
+    @pytest.mark.parametrize("tokens", ["-", "A_1", "4A_1", "A_1 A_7 A_10"])
+    def test_swapped_basket_is_reported_not_raised(self, tokens):
+        basket = Basket.parse(tokens)
+        for row in embedded_catalog():
+            swapped = replace(row, basket=basket, sigma=-16 + basket.total_d)
+            report = verify_row(swapped)
+            fields = [c.field for c in report.checks]
+            if row.codim == 1:
+                assert fields == ["well_formed", "quasismooth", "basket", "sigma"]
+                assert report.ok == (basket == row.basket), row.name
+            else:
+                assert fields == ["sigma"] and report.ok
+
 
 class TestLoadCatalog:
     def test_empty_input(self):
@@ -118,3 +133,39 @@ class TestLoadCatalog:
     def test_bound_enforced(self):
         with pytest.raises(InvariantViolation):
             load_catalog("X | 2,5,6,7 | 20 | 4A_5 | 4\n")
+
+
+# (name, weights, degrees, basket, sigma) of rows that break one rule each,
+# with the message both construction and loading give for them
+INCONSISTENT_ROWS = [
+    pytest.param(("X", (0, 1, 1, 2), (4,), "-", -16),
+                 "X: weights must be positive", id="weight"),
+    pytest.param(("X", (1, 1, 1, 1), (-4,), "-", -16),
+                 "X: degrees must be positive", id="degree"),
+    pytest.param(("X", (1,) * 6, (2, 2, 2), "-", -16),
+                 "X: codimension must be 1 or 2", id="codim_3"),
+    pytest.param(("X", (1,) * 5, (5,), "-", -16),
+                 "X: a K3 in codimension 1 needs 4 weights", id="weight_count"),
+    pytest.param(("X", (1, 1, 1, 1), (5,), "-", -16),
+                 "X: canonical triviality needs sum(degrees) = sum(weights)",
+                 id="canonical_triviality"),
+    pytest.param(("X", (1, 1, 1, 1), (4,), "-", -15),
+                 "X: sigma -15 != -16 + total_d = -16", id="sigma"),
+    pytest.param(("X", (2, 5, 6, 7), (20,), "4A_5", 4),
+                 "X: basket exceeds 19 curves", id="twenty_curves"),
+]
+
+
+class TestRowConstruction:
+    @pytest.mark.parametrize("fields, message", INCONSISTENT_ROWS)
+    def test_inconsistent_row_cannot_be_built(self, fields, message):
+        name, weights, degrees, tokens, sigma = fields
+        with pytest.raises(InvariantViolation) as built:
+            CatalogRow(name, weights, degrees, Basket.parse(tokens), sigma)
+        line = " | ".join(
+            (name, ",".join(map(str, weights)), ",".join(map(str, degrees)),
+             tokens, str(sigma))
+        )
+        with pytest.raises(InvariantViolation) as loaded:
+            load_catalog(line + "\n")
+        assert str(built.value) == str(loaded.value) == message

@@ -119,7 +119,7 @@ class TestBasketCommand:
         assert out.strip().split("\t") == ["F_10 ⊂ P(1,2,2,5)", "5A_1", "-11"]
 
     def test_huge_degree_finishes(self, capsys):
-        # the reachability mask doubles its shifts, so d = 10^6 is quick
+        # reachability keeps one least degree per residue class, so d = 10^6 is quick
         code, out, _ = run(capsys, "basket", "1", "1", "1", "2", "--degree", "1000000")
         assert code == EX_OK
         assert "basket: (empty)" in out.splitlines()
@@ -256,6 +256,22 @@ class TestTableVerify:
         code, out, _ = run(capsys, "table", "verify")
         assert code == EX_OK
         assert "1 rows: 1 ok" in out
+
+    def test_empty_catalog_path_does_not_fall_back(self, capsys, tmp_path, monkeypatch):
+        fixture = tmp_path / "cat.txt"
+        fixture.write_text(
+            "F_4 ⊂ P(1,1,1,1) | 1,1,1,1 | 4 | - | -16\n", encoding="utf-8"
+        )
+        monkeypatch.setenv(CATALOG_ENV, str(fixture))
+        code, out, err = run(capsys, "table", "verify", "--catalog", "")
+        assert code == EX_NOINPUT
+        assert out == "" and err.startswith("cannot open catalog: ")
+
+    def test_empty_env_var_means_embedded(self, capsys, monkeypatch):
+        monkeypatch.setenv(CATALOG_ENV, "")
+        code, out, _ = run(capsys, "table", "verify")
+        assert code == EX_OK
+        assert "verified 19 rows: 19 ok" in out
 
 
 class TestBsyCommand:

@@ -14,7 +14,7 @@ from duvalk3.search import (
     find_signature,
     stabilized_enumeration,
 )
-from duvalk3.threefolds import sigma_k3
+from duvalk3.threefolds import BoundViolation, sigma_k3
 from duvalk3.wps import (
     HypersurfaceFamily,
     Weights,
@@ -65,6 +65,14 @@ class TestEnumerateBaskets:
     def test_sigma_range_at_full_bound(self):
         sigmas = {sigma for _, sigma in enumerate_baskets(19)}
         assert sigmas == set(range(-16, 4))
+
+    def test_past_the_curve_bound_rejected(self):
+        with pytest.raises(BoundViolation, match=r"^K3 baskets carry at most 19 curves$"):
+            enumerate_baskets(20)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="max_total_d must be >= 0"):
+            enumerate_baskets(-1)
 
 
 class TestEnumerateK3Hypersurfaces:
