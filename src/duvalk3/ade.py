@@ -1,8 +1,10 @@
-"""Dynkin graphs, Cartan matrices, plumbing forms, and exact form signatures.
+"""Dynkin graphs, Cartan matrices, plumbing forms, exact form signatures,
+and the signature of a du Val surface with trivial canonical class.
 
 Everything here is integer arithmetic: signatures come from integer Schur
 complements (Bareiss), with no fractions and no floating point, so even
-degenerate forms get exact inertia.
+degenerate forms get exact inertia.  A du Val surface with trivial
+canonical class and q = 0 has signature -16 + sum(d_i) over its basket.
 """
 
 from __future__ import annotations
@@ -157,6 +159,55 @@ class Basket:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+# Hodge numbers shared by all smooth K3 surfaces.
+K3_H20 = 1
+K3_H11 = 20
+
+# The exceptional curves span a negative-definite sublattice of H^{1,1},
+# orthogonal to an ample class, so there are at most h^{1,1} - 1 = 19.
+EXCEPTIONAL_CURVE_BOUND = K3_H11 - 1
+
+
+class BoundViolation(ValueError):
+    """A basket exceeds the exceptional-curve bound for K3 surfaces."""
+
+
+def signature_from_hodge(h20: int, h11: int) -> int:
+    """Signature of a compact Kähler surface from its Hodge numbers:
+    b2+ = 2*h^{2,0} + 1 against b2- = h^{1,1} - 1."""
+    return 2 * h20 - h11 + 2
+
+
+def smooth_k3_signature() -> int:
+    """Signature of a smooth K3 surface, derived from its Hodge numbers."""
+    return signature_from_hodge(K3_H20, K3_H11)
+
+
+def _check_curve_bound(curves: int) -> int:
+    """Return the exceptional-curve count; raise BoundViolation past 19."""
+    if curves > EXCEPTIONAL_CURVE_BOUND:
+        raise BoundViolation(
+            f"basket has {curves} exceptional curves, bound is {EXCEPTIONAL_CURVE_BOUND}"
+        )
+    return curves
+
+
+def sigma_k3(b: Basket, q: int = 0) -> int:
+    """Signature of a du Val surface with trivial canonical class.
+
+    For q = 0 (a K3) the crepant resolution contributes -16 and every
+    exceptional curve raises the signature by one; for q > 0 the surface
+    is nonsingular with signature 0.
+    """
+    if q not in (0, 1, 2):
+        raise ValueError(f"surface irregularity must be 0, 1 or 2, got {q}")
+    if q > 0:
+        if b.entries:
+            raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")
+        return 0
+    return smooth_k3_signature() + _check_curve_bound(b.total_d)
 
 
 @dataclass(frozen=True)

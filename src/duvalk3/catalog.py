@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .ade import Basket
-from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
+from .ade import EXCEPTIONAL_CURVE_BOUND, Basket, BoundViolation, sigma_k3
 from . import wps
 
 _DATA_RESOURCE = "realization_table.txt"

@@ -10,10 +10,11 @@ import argparse
 import os
 import sys
 
-from .ade import ADEType, Basket, cartan_matrix, form_signature, plumbing_form, standard_dynkin_graph
+from .ade import (
+    ADEType, Basket, cartan_matrix, form_signature, plumbing_form, sigma_k3, standard_dynkin_graph,
+)
 from .catalog import ParseError, InvariantViolation, embedded_catalog, load_catalog, verify_row
 from .search import DEFAULT_MAX_WEIGHT, enumerate_k3_hypersurfaces, stabilized_enumeration
-from .threefolds import KawamataDiagram, SurfaceModel, bsy_check, sigma_k3
 from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 EX_OK = 0
@@ -120,7 +121,7 @@ def _cmd_table_verify(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot open catalog: {exc}", file=sys.stderr)
             return EX_NOINPUT
-        except (ParseError, InvariantViolation) as exc:
+        except (ParseError, InvariantViolation, UnicodeDecodeError) as exc:
             print(f"catalog error: {exc}", file=sys.stderr)
             return EX_DATAERR
     mismatched = 0
@@ -145,6 +146,8 @@ def _cmd_table_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bsy(args: argparse.Namespace) -> int:
+    from .threefolds import KawamataDiagram, SurfaceModel, bsy_check  # loaded on first use
+
     try:
         b = Basket.parse(args.basket)
     except ValueError as exc:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ade import ADE_TYPES, ADEType, Basket
+from .ade import ADE_TYPES, EXCEPTIONAL_CURVE_BOUND, ADEType, Basket, BoundViolation, sigma_k3
 from .catalog import CatalogRow
-from .threefolds import EXCEPTIONAL_CURVE_BOUND, BoundViolation, sigma_k3
 from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 DEFAULT_MAX_WEIGHT = 40

@@ -1,9 +1,8 @@
-"""Surface signatures, Novikov bookkeeping, and the 3-fold L-class check.
+"""Novikov bookkeeping and the 3-fold L-class check.
 
-The pipeline: a du Val surface with trivial canonical class and q = 0 has
-signature -16 + sum(d_i) over its basket.  A 3-fold covered by F x E (F
-such a surface, a curve or a point; E a torus) has its class pushed down
-along a Hodge and a topological route, which differ only in the fiber class.
+A 3-fold covered by F x E (F a du Val surface with trivial canonical
+class, a curve or a point; E a torus) has its class pushed down along a
+Hodge and a topological route, which differ only in the fiber class.
 """
 
 from __future__ import annotations
@@ -12,7 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .ade import ADEType, Basket, form_signature, plumbing_form, standard_dynkin_graph
+# the K3 surface facts live in ade; threefolds re-exports them
+from .ade import (
+    EXCEPTIONAL_CURVE_BOUND, K3_H11, K3_H20, ADEType, Basket, BoundViolation,
+    _check_curve_bound, form_signature, plumbing_form, sigma_k3,
+    signature_from_hodge, smooth_k3_signature, standard_dynkin_graph,
+)
 from .homology import (
     CoveringMap,
     FormalClass,
@@ -26,54 +30,6 @@ from .homology import (
     product_space,
     pushforward,
 )
-
-# Hodge numbers shared by all smooth K3 surfaces.
-K3_H20 = 1
-K3_H11 = 20
-
-# The exceptional curves span a negative-definite sublattice of H^{1,1},
-# orthogonal to an ample class, so there are at most h^{1,1} - 1 = 19.
-EXCEPTIONAL_CURVE_BOUND = K3_H11 - 1
-
-
-class BoundViolation(ValueError):
-    """A basket exceeds the exceptional-curve bound for K3 surfaces."""
-
-
-def signature_from_hodge(h20: int, h11: int) -> int:
-    """Signature of a compact Kähler surface from its Hodge numbers:
-    b2+ = 2*h^{2,0} + 1 against b2- = h^{1,1} - 1."""
-    return 2 * h20 - h11 + 2
-
-
-def smooth_k3_signature() -> int:
-    """Signature of a smooth K3 surface, derived from its Hodge numbers."""
-    return signature_from_hodge(K3_H20, K3_H11)
-
-
-def _check_curve_bound(curves: int) -> int:
-    """Return the exceptional-curve count; raise BoundViolation past 19."""
-    if curves > EXCEPTIONAL_CURVE_BOUND:
-        raise BoundViolation(
-            f"basket has {curves} exceptional curves, bound is {EXCEPTIONAL_CURVE_BOUND}"
-        )
-    return curves
-
-
-def sigma_k3(b: Basket, q: int = 0) -> int:
-    """Signature of a du Val surface with trivial canonical class.
-
-    For q = 0 (a K3) the crepant resolution contributes -16 and every
-    exceptional curve raises the signature by one; for q > 0 the surface
-    is nonsingular with signature 0.
-    """
-    if q not in (0, 1, 2):
-        raise ValueError(f"surface irregularity must be 0, 1 or 2, got {q}")
-    if q > 0:
-        if b.entries:
-            raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")
-        return 0
-    return smooth_k3_signature() + _check_curve_bound(b.total_d)
 
 
 @dataclass(frozen=True)

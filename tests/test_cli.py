@@ -204,6 +204,15 @@ class TestTableVerify:
         assert code == EX_DATAERR
         assert "outside [1, 64]" in err
 
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"F_4 | 1,1,1,1 | 4 | - | -16\xff\n")
+        code, out, err = run(capsys, "table", "verify", "--catalog", str(bad))
+        assert code == EX_DATAERR
+        assert out == ""
+        assert err.startswith("catalog error: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a row\n", encoding="utf-8")

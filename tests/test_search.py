@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from duvalk3 import search
-from duvalk3.ade import ADEType, Basket
+from duvalk3.ade import ADEType, Basket, BoundViolation, sigma_k3
 from duvalk3.catalog import embedded_catalog
 from duvalk3.search import (
     _largest_weights,
@@ -14,7 +14,6 @@ from duvalk3.search import (
     find_signature,
     stabilized_enumeration,
 )
-from duvalk3.threefolds import BoundViolation, sigma_k3
 from duvalk3.wps import (
     HypersurfaceFamily,
     Weights,

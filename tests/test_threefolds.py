@@ -44,6 +44,60 @@ from duvalk3.search import enumerate_baskets
 X = SpaceLabel("X", 6)
 
 
+# the names the package exported from the 3-fold layer when it imported it eagerly
+THREEFOLD_LAYER_EXPORTS = {
+    "homology": (
+        "CoveringMap", "DimensionMismatch", "FormalClass", "Generator", "SpaceLabel",
+        "UnknownGenerator", "fundamental_class", "hodge_class_tree", "l_class_surface",
+        "product_class", "pushforward", "transfer",
+    ),
+    "threefolds": (
+        "BsyReport", "KawamataDiagram", "NovikovDecomposition", "SurfaceModel",
+        "bsy_check", "novikov_assembly", "t1_surface", "threefold_lclass",
+    ),
+}
+
+
+class TestLazyThreefoldLayer:
+    def test_loaded_on_first_use_of_a_package_name(self):
+        code = (
+            "import sys, duvalk3, duvalk3.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('duvalk3.')))\n"
+            f"exports = {THREEFOLD_LAYER_EXPORTS!r}\n"
+            "assert {n for ns in exports.values() for n in ns} <= set(dir(duvalk3))\n"
+            "for module, names in exports.items():\n"
+            "    for name in names:\n"
+            "        assert getattr(duvalk3, name) is getattr(duvalk3, module).__dict__[name]\n"
+            "print(sorted(m for m in sys.modules if m.startswith('duvalk3.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        surface = ["duvalk3.ade", "duvalk3.catalog", "duvalk3.cli", "duvalk3.search", "duvalk3.wps"]
+        assert out.splitlines() == [
+            repr(surface),
+            repr(sorted(surface + ["duvalk3.homology", "duvalk3.threefolds"])),
+        ]
+        assert sum(map(len, THREEFOLD_LAYER_EXPORTS.values())) == 20
+
+    def test_moved_surface_facts_are_one_definition(self):
+        import duvalk3
+        from duvalk3 import ade
+
+        assert threefolds.sigma_k3 is duvalk3.sigma_k3 is ade.sigma_k3
+        assert threefolds.BoundViolation is duvalk3.BoundViolation is ade.BoundViolation
+        assert threefolds.smooth_k3_signature is duvalk3.smooth_k3_signature
+        assert threefolds.EXCEPTIONAL_CURVE_BOUND == ade.EXCEPTIONAL_CURVE_BOUND == 19
+
+    def test_unknown_names_still_fail(self):
+        import duvalk3
+
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            getattr(duvalk3, "nope")
+        with pytest.raises(ImportError):
+            from duvalk3 import nope  # noqa: F401
+
+
 class TestSmoothK3Signature:
     def test_value(self):
         assert smooth_k3_signature() == -16
