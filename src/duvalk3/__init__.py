@@ -23,8 +23,8 @@ from .search import (
 
 _LAZY = dict.fromkeys((
     "CoveringMap", "DimensionMismatch", "FormalClass", "Generator", "SpaceLabel",
-    "UnknownGenerator", "fundamental_class", "hodge_class_tree", "l_class_surface",
-    "product_class", "pushforward", "transfer"), "homology") | dict.fromkeys((
+    "UnknownGenerator", "fundamental_class", "l_class_surface", "product_class",
+    "pushforward", "transfer"), "homology") | dict.fromkeys((
     "BsyReport", "KawamataDiagram", "NovikovDecomposition", "SurfaceModel", "bsy_check",
     "novikov_assembly", "t1_surface", "threefold_lclass"), "threefolds")
 

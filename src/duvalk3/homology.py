@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .ade import RANK_CAP
-
 Scalar = Union[int, Fraction]
 
 
@@ -251,15 +249,3 @@ def transfer(p: CoveringMap, c: FormalClass) -> FormalClass:
         raise ValueError(f"class lives on {c.space.name}, not on {p.target.name}")
     return _apply_table(p.transfer_table, c, "transfer")
 
-
-def hodge_class_tree(n: int) -> FormalClass:
-    """Hodge L-class of a tree of n rational curves: the sum of the component
-    fundamental classes minus (n-1) points.  Refuses n past RANK_CAP."""
-    if not 1 <= n <= RANK_CAP:
-        raise ValueError(f"a tree has 1 to {RANK_CAP} components, got n={n}")
-    tree = SpaceLabel(f"tree{n}", 2)
-    terms: dict[Generator, Scalar] = {
-        Generator(f"[P1_{i}]", 2, tree): 1 for i in range(1, n + 1)
-    }
-    terms[Generator("pt", 0, tree)] = -(n - 1)
-    return FormalClass(terms)

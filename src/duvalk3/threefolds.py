@@ -118,16 +118,22 @@ _FUND_X = Generator("[X]", 6, _X_SPACE)
 _PUSHED_PT = Generator("p_*[pt_F×E]", 2, _X_SPACE)
 
 
+@lru_cache(maxsize=None)  # bounded: ADEType admits 128 types under RANK_CAP
+def _tree_edges(t: ADEType) -> int:
+    return len(standard_dynkin_graph(t).edges)  # the tree's double points
+
+
 def t1_surface(basket: Basket) -> FormalClass:
     """Hodge L-class of a du Val K3 surface with m = len(basket) singular points.
 
-    Replays the scissor computation: the resolution contributes
-    (m - 16)[pt] + [F], and each exceptional tree of d_i curves is traded
-    for its degree-0 Hodge class -(d_i - 1)[pt] (`hodge_class_tree`).  The
-    result must agree with the topological L-class sigma·[pt] + [F].
+    Replays the scissor computation by additivity: the resolution and the m
+    points give (m - 16)[pt] + [F], and each exceptional tree E_t takes away
+    χ_1(E_t)[pt].  As χ_1(P¹) = 0 and each double point counts χ_1(pt) = 1,
+    χ_1(E_t) is minus the edges of its Dynkin graph (`standard_dynkin_graph`,
+    not the rank).  The result must equal the topological sigma·[pt] + [F].
     """
-    traded = sum(1 - t.components for t in basket)
-    sigma = smooth_k3_signature() + _check_curve_bound(len(basket) - traded)
+    curves = len(basket) + sum(map(_tree_edges, basket))
+    sigma = smooth_k3_signature() + _check_curve_bound(curves)
     return l_class_surface(sigma, _SURFACE)
 
 

@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from duvalk3 import homology
-from duvalk3.ade import RANK_CAP
 from duvalk3.homology import (
     CoveringMap,
     DimensionMismatch,
@@ -13,7 +11,6 @@ from duvalk3.homology import (
     SpaceLabel,
     UnknownGenerator,
     fundamental_class,
-    hodge_class_tree,
     l_class_surface,
     product_class,
     product_space,
@@ -211,31 +208,3 @@ class TestCoveringMap:
                 pushforward_table={fund: FormalClass({fund_x: 3})},
                 transfer_table={fund_x: FormalClass({fund: 2})},  # gives 6, not 3
             )
-
-
-class TestHodgeClassTree:
-    def test_single_component(self):
-        items = hodge_class_tree(1).items()
-        assert [c for g, c in items if g.degree == 0] == []
-        assert [g.label for g, _ in items] == ["[P1_1]"]
-
-    def test_three_components(self):
-        items = hodge_class_tree(3).items()
-        assert [c for g, c in items if g.degree == 0] == [-2]
-        assert len([g for g, _ in items if g.degree == 2]) == 3
-
-    def test_ten_components(self):
-        assert [c for g, c in hodge_class_tree(10).items() if g.degree == 0] == [-9]
-
-    def test_rejects_empty_tree(self):
-        with pytest.raises(ValueError):
-            hodge_class_tree(0)
-
-    def test_refuses_past_rank_cap_before_building(self, monkeypatch):
-        assert len(hodge_class_tree(RANK_CAP).items()) == RANK_CAP + 1
-        built = []
-        monkeypatch.setattr(homology, "Generator", lambda *args: built.append(args))
-        for n in (RANK_CAP + 1, 10**6):
-            with pytest.raises(ValueError, match="components"):
-                hodge_class_tree(n)
-        assert built == []

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from duvalk3 import threefolds
 from duvalk3.ade import (
+    ADE_TYPES,
     RANK_CAP,
     ADEType,
     Basket,
+    DynkinGraph,
     form_signature,
     plumbing_form,
     standard_dynkin_graph,
@@ -20,7 +22,6 @@ from duvalk3.homology import (
     SpaceLabel,
     _apply_table,
     fundamental_class,
-    hodge_class_tree,
     product_class,
     pushforward,
     transfer,
@@ -44,12 +45,12 @@ from duvalk3.search import enumerate_baskets
 X = SpaceLabel("X", 6)
 
 
-# the names the package exported from the 3-fold layer when it imported it eagerly
+# the names the package exports from the 3-fold layer, which loads on first use
 THREEFOLD_LAYER_EXPORTS = {
     "homology": (
         "CoveringMap", "DimensionMismatch", "FormalClass", "Generator", "SpaceLabel",
-        "UnknownGenerator", "fundamental_class", "hodge_class_tree", "l_class_surface",
-        "product_class", "pushforward", "transfer",
+        "UnknownGenerator", "fundamental_class", "l_class_surface", "product_class",
+        "pushforward", "transfer",
     ),
     "threefolds": (
         "BsyReport", "KawamataDiagram", "NovikovDecomposition", "SurfaceModel",
@@ -78,7 +79,7 @@ class TestLazyThreefoldLayer:
             repr(surface),
             repr(sorted(surface + ["duvalk3.homology", "duvalk3.threefolds"])),
         ]
-        assert sum(map(len, THREEFOLD_LAYER_EXPORTS.values())) == 20
+        assert sum(map(len, THREEFOLD_LAYER_EXPORTS.values())) == 19
 
     def test_moved_surface_facts_are_one_definition(self):
         import duvalk3
@@ -245,6 +246,28 @@ class TestTubeSignatureTable:
         assert out.strip() == "0"
 
 
+class TestTreeEdgesTable:
+    def test_table_stays_within_the_interned_types(self):
+        baskets = [b for b, _ in enumerate_baskets(19)]
+        for b in baskets:
+            t1_surface(b)
+        size = threefolds._tree_edges.cache_info().currsize
+        assert size <= 128
+        for b in baskets:  # types built afresh from tokens hit the same keys
+            t1_surface(Basket.parse(b.tokens()))
+        assert threefolds._tree_edges.cache_info().currsize == size
+
+    def test_import_leaves_the_table_empty(self):
+        code = (
+            "import duvalk3.threefolds\n"
+            "print(duvalk3.threefolds._tree_edges.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "0"
+
+
 class TestT1Surface:
     def test_smooth_case(self):
         F = SpaceLabel("F", 4)
@@ -265,22 +288,42 @@ class TestT1Surface:
         for b, sigma in enumerate_baskets(6):
             assert t1_surface(b) == l_class_surface(sigma, F)
 
-    def test_ties_to_hodge_class_tree(self):
-        # t1_surface sums the trees' degree-0 parts itself; they must stay
-        # the pt coefficients of hodge_class_tree.  A type past 19 curves
-        # fits in no K3 basket, and t1_surface refuses it.
-        types = (
-            [ADEType("A", r) for r in range(1, RANK_CAP + 1)]
-            + [ADEType("D", r) for r in range(4, RANK_CAP + 1)]
-            + [ADEType("E", r) for r in (6, 7, 8)]
-        )
-        for t in types:
-            if t.components > threefolds.EXCEPTIONAL_CURVE_BOUND:
-                with pytest.raises(BoundViolation):
-                    t1_surface(Basket((t,)))
+    def test_every_type_counts_its_curves(self):
+        # a tree of rank r has r - 1 edges, so one point of type t gives
+        # sigma -16 + rank; a type past 19 curves fits in no K3 basket
+        F = SpaceLabel("F", 4)
+        assert len(ADE_TYPES) == 128
+        for t in ADE_TYPES:
+            b = Basket((t,))
+            if t.rank <= threefolds.EXCEPTIONAL_CURVE_BOUND:
+                assert t1_surface(b) == l_class_surface(-16 + t.rank, F), t
                 continue
-            c = sum(v for g, v in hodge_class_tree(t.components).items() if g.label == "pt")
-            assert t1_surface(Basket((t,))) == l_class_surface(-16 + 1 - c, SpaceLabel("F", 4))
+            with pytest.raises(BoundViolation) as exc:
+                t1_surface(b)
+            assert str(exc.value) == f"basket has {t.rank} exceptional curves, bound is 19"
+
+    def test_a_lost_edge_fails_the_hodge_route(self, monkeypatch):
+        # D_4, D_5 and E_8 are pinned by test_standard_graph_shapes and the
+        # golden corpus; D_7 is pinned here
+        d7 = ADEType("D", 7)
+
+        def cut(t, euler_weight=-2):
+            g = standard_dynkin_graph(t, euler_weight)
+            return DynkinGraph(g.euler_weights, g.edges[:-1]) if t is d7 else g
+
+        threefolds._tree_edges.cache_clear()
+        threefolds._tube_signature.cache_clear()
+        monkeypatch.setattr(threefolds, "standard_dynkin_graph", cut)
+        try:
+            b = Basket((d7,))
+            assert t1_surface(b) != l_class_surface(sigma_k3(b), SpaceLabel("F", 4))
+            assert not bsy_check(KawamataDiagram(1, 2, SurfaceModel(b))).passed
+            # a -2-weighted forest is still negative definite: the
+            # topological side does not see the lost edge
+            assert novikov_assembly(b).sigma_surface == sigma_k3(b)
+        finally:
+            threefolds._tree_edges.cache_clear()
+            threefolds._tube_signature.cache_clear()
 
     def test_curve_bound_shared_with_sigma_and_novikov(self):
         checks = (sigma_k3, novikov_assembly, t1_surface)

@@ -101,7 +101,8 @@ class TestQuasismooth:
                 assert quasismooth(family(a, d)) == qs_oracle.quasismooth(
                     a, d, supports
                 ), (a, d)
-                # the sweep's prune, on its own: the singleton requirement
+                # quasismooth's singleton requirement, on its own (the K3
+                # sweep inlines its own P_0-P_2 test and does not call it)
                 assert _vertices_linked(a, d) == qs_oracle.vertices_linked(
                     a, d, supports
                 ), (a, d)
