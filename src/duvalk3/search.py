@@ -4,10 +4,11 @@ Hypersurface families are enumerated over normalized weight quadruples with
 the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
 well-formedness and quasismoothness tests.  One serial loop takes the
 weights from the vertex linking conditions: a3 from the few values that
-link P_3, and a2 from the few that can link P_2 (at most eleven closed-form
-values up to a0+a1, and four above it).  It skips a triple whose three
-weights share a factor, tests P_0, P_1 and P_2 before any filter runs,
-and emits families in canonical order.
+link P_3, a2 from the few that can link P_2 (at most eleven closed-form
+values up to a0+a1, and four above it), and a1 from the 34 ratios a1/a0
+that can link P_1.  It skips a triple whose three weights share a factor,
+tests P_0, P_1 and P_2 before any filter runs, and emits families in
+canonical order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
 DEFAULT_MAX_WEIGHT = 40
 STABILIZE_STEP = 10
+
+# the ratios a1/a0 = n/m that can link P_1, ascending; the proof is in
+# `enumerate_k3_hypersurfaces`
+_RATIOS = (
+    (1, 1), (13, 12), (12, 11), (21, 19), (9, 8), (8, 7), (7, 6), (13, 11), (6, 5),
+    (11, 9), (5, 4), (9, 7), (4, 3), (15, 11), (7, 5), (3, 2), (11, 7), (8, 5),
+    (5, 3), (12, 7), (7, 4), (9, 5), (21, 11), (2, 1), (15, 7), (11, 5), (9, 4),
+    (7, 3), (5, 2), (8, 3), (3, 1), (4, 1), (5, 1), (6, 1),
+)
 
 
 def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
@@ -153,12 +163,29 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     no result.  A triple with gcd(a0, a1, a2) > 1 is skipped too: every
     quadruple on it fails `well_formed`.  The rest are tested at P_0, P_1
     and P_2 before `Weights`, `well_formed` or `quasismooth` sees them.
+
+    a1 comes from `_RATIOS`.  Every a2 above is a*a0 + b*a1 with rational
+    a, b >= 0 (15 forms), and every a3 is one of 6 forms in a0, a1, a2.  P_1
+    needs a1 | R for some R in {d, d - a0, d - a2, s}; write R = A*a0 + B*a1
+    and t = a1/a0 >= 1.  Then a1 | R iff A/t + B is an integer k, that is,
+    iff t = A/(k - B).  A = 0 only for R = d - a0 with a2 in {a1, 2a1} and
+    a3 in {a2, a1+a2}; then a1 divides a1, a2 and a3, so the quadruple is
+    well-formed only if a1 = 1, t = 1.  Keeping the t >= 1 at which the
+    forms are valid (a2 >= a1; a3 = s/2 or p only if p >= a2; a3 = a2 only
+    if a1 = a2; a3 >= a2) leaves the 34 ratios of `_RATIOS`; any other a1
+    fails P_1 or `well_formed`.  Every ratio is <= 6, so a1 <= 6*a0: the
+    sweep visits O(W) pairs (a0, a1), not O(W^2).
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     families: list[K3Family] = []
     for a0 in range(1, max_weight + 1):
-        for a1 in range(a0, max_weight + 1):
+        for n, m in _RATIOS:
+            if a0 % m:
+                continue
+            a1 = a0 // m * n
+            if a1 > max_weight:
+                break
             g = gcd(a0, a1)
             for a2 in _middle_weights(a0, a1, max_weight):
                 if g > 1 and gcd(g, a2) > 1:

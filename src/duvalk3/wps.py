@@ -167,23 +167,26 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
         return True  # linear cone: the general member is a coordinate graph
     if not _vertices_linked(a, d):
         return False
-    for k in range(2, 5):
-        for subset in itertools.combinations(range(4), k):
-            ws = [a[i] for i in subset]
-            if any(d % w == 0 for w in ws):
-                continue  # a pure power has degree d
-            reaches = _reachability(ws, d)
-            if reaches(d):
-                continue
-            if k == 2 and gcd(*ws) > 1:
-                return False  # the member contains the singular edge
-            linked = sum(
-                1 for e in range(4) if e not in subset and reaches(d - a[e])
-            )
-            if linked < k:
-                return False
+    pure = [d % w == 0 for w in a]
+    for subset in _SUBSETS:
+        if any(pure[i] for i in subset):
+            continue  # a pure power has degree d
+        ws = [a[i] for i in subset]
+        reaches = _reachability(ws, d)
+        if reaches(d):
+            continue
+        if len(subset) == 2 and gcd(*ws) > 1:
+            return False  # the member contains the singular edge
+        linked = sum(
+            1 for e in range(4) if e not in subset and reaches(d - a[e])
+        )
+        if linked < len(subset):
+            return False
     return True
 
+
+# the coordinate subsets with |I| >= 2 that `quasismooth` tests, by size
+_SUBSETS = [s for k in range(2, 5) for s in itertools.combinations(range(4), k)]
 
 # the singular strata a member can meet in points: the 4 vertices, then the
 # 6 edges (well-formedness rules out larger singular strata)
@@ -214,23 +217,23 @@ def quotient_points(f: HypersurfaceFamily) -> list[tuple[CyclicQuotient, int]]:
     d = f.degree
     out: list[tuple[CyclicQuotient, int]] = []
     for s in _STRATA:
-        g = gcd(*(a[i] for i in s))
-        if g == 1 or (d % g == 0) != (len(s) == 2):
+        g = gcd(a[s[0]], a[s[-1]])  # a vertex's own weight, or an edge's gcd
+        edge = len(s) == 2
+        if g == 1 or (d % g == 0) != edge:
             continue
-        if len(s) == 1:
-            where = f"vertex {s[0]}"
-            l = next((l for l in range(4) if l not in s and (d - a[l]) % g == 0), None)
-            if l is None:
-                raise NoLinkingMonomial(f"{where} of {f}: no l with {g} | d - a_l")
-            s, n = s + (l,), 1
-        else:
-            where = "edge ({},{})".format(*s)
+        if edge:
             n = _monomials(a[s[0]], a[s[1]], d) - 1
+        else:
+            l = next((l for l in range(4) if l != s[0] and (d - a[l]) % g == 0), None)
+            if l is None:
+                raise NoLinkingMonomial(f"vertex {s[0]} of {f}: no l with {g} | d - a_l")
+            s, n = s + (l,), 1
         if n > 0:
             j, k = (t for t in range(4) if t not in s)
             try:
                 out.append((CyclicQuotient(g, (a[j] % g, a[k] % g)), n))
             except ValueError as exc:
+                where = "edge ({},{})".format(*s) if edge else f"vertex {s[0]}"
                 raise NotDuVal(f"{where} of {f}: {exc}") from exc
     return out
 

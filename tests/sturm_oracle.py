@@ -140,3 +140,23 @@ def signature_oracle(form: SymIntForm) -> FormSignature:
         pos += mult * fp
         neg += mult * fn
     return FormSignature(pos, neg, zeros)
+
+
+def link_order(form: SymIntForm) -> int:
+    """|det| of a nondegenerate form, by Gaussian elimination over Fraction.
+
+    For a plumbing form this is the order of H_1 of the link, the boundary
+    of the plumbed 4-manifold.  It shares no code with Bareiss or
+    `charpoly`; a singular form raises StopIteration.
+    """
+    m = [[Fraction(x) for x in row] for row in form.entries]
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next(r for r in range(c, len(m)) if m[r][c])
+        m[c], m[r] = m[r], m[c]
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            for k in range(c, len(m)):
+                m[r][k] -= factor * m[c][k]
+    return abs(int(det))

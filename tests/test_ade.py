@@ -21,7 +21,7 @@ from duvalk3.ade import (
     plumbing_form,
     standard_dynkin_graph,
 )
-from sturm_oracle import signature_oracle
+from sturm_oracle import link_order, signature_oracle
 
 
 def all_types(max_rank):
@@ -264,6 +264,17 @@ class TestPlumbingForm:
     def test_general_euler_weights(self):
         g = DynkinGraph((-1, -3), ((0, 1),))
         assert plumbing_form(g).entries == ((-1, 1), (1, -3))
+
+    def test_link_order_of_every_type(self):
+        # a du Val link is S^3/G with |H_1| = |det| of the plumbing form:
+        # n + 1 for A_n, 4 for D_n, 9 - n for E_n (Fraction elimination,
+        # no Bareiss)
+        expected = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n}
+        types = all_types(19)
+        assert len(types) == 38
+        for t in types:
+            g = standard_dynkin_graph(t)
+            assert link_order(plumbing_form(g)) == expected[t.kind](t.rank), str(t)
 
 
 class TestFormSignature:

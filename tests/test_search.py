@@ -1,5 +1,6 @@
 import itertools
-from math import gcd
+from fractions import Fraction
+from math import floor, gcd
 
 import pytest
 
@@ -115,10 +116,11 @@ class TestEnumerateK3Hypersurfaces:
         assert got == expected
 
     def test_filters_see_only_linked_quadruples(self, monkeypatch):
-        # the linking conditions choose a2 and a3, a triple sharing a factor
-        # is skipped, and an unlinked quadruple is rejected before
+        # the linking conditions choose a1, a2 and a3, a triple sharing a
+        # factor is skipped, and an unlinked quadruple is rejected before
         # well_formed or quasismooth sees it: exact counts, no clock
-        calls = {"_largest_weights": 0, "well_formed": 0, "quasismooth": 0}
+        calls = {"_middle_weights": 0, "_largest_weights": 0, "well_formed": 0,
+                 "quasismooth": 0}
         for name in calls:
             def counted(*args, _real=getattr(search, name), _name=name):
                 calls[_name] += 1
@@ -127,7 +129,8 @@ class TestEnumerateK3Hypersurfaces:
             monkeypatch.setattr(search, name, counted)
         assert len(enumerate_k3_hypersurfaces(60)) == 95
         assert calls == {
-            "_largest_weights": 4317, "well_formed": 368, "quasismooth": 95
+            "_middle_weights": 350, "_largest_weights": 403, "well_formed": 148,
+            "quasismooth": 95,
         }
 
     def test_p2_unlinked_beyond_the_lemma_values(self):
@@ -220,6 +223,74 @@ class TestEnumerateK3Hypersurfaces:
         assert load_catalog(row.format()) == [row]
 
 
+# `_middle_weights`' 15 forms a2 = al*a0 + be*a1, and `_largest_weights`' 6
+# forms a3 = c0*a0 + c1*a1 + c2*a2, written out again from their docstrings
+HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+A2_FORMS = [
+    (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (0, 2), (2, 2),
+    (3 * HALF, HALF), (2 * THIRD, 2 * THIRD), (Fraction(3, 4), Fraction(3, 4)),
+    (Fraction(3, 5), Fraction(3, 5)), (HALF, 1), (THIRD, 1), (1, HALF), (1, THIRD),
+]
+A3_FORMS = {
+    "a2": (0, 0, 1), "s/2": (HALF, HALF, HALF), "p": (1, 1, 0),
+    "a0+a2": (1, 0, 1), "a1+a2": (0, 1, 1), "s": (1, 1, 1),
+}
+
+
+def ratio_oracle():
+    """The t = a1/a0 >= 1 at which a1 can divide a P_1 residue, and the
+    (a2, a3) forms whose residue has no a0 term.
+
+    With a0 = 1 every weight is linear in t.  A residue R = A + B*t is
+    divisible by a1 = t iff A/t + B = k for an integer k, so t = A/(k - B),
+    and t >= 1 means B < k <= A + B.
+    """
+    ratios, no_a0 = {Fraction(1)}, []
+    for al, be in A2_FORMS:
+        for name, (c0, c1, c2) in A3_FORMS.items():
+            a3 = (c0 + c2 * al, c1 + c2 * be)
+            d = (1 + al + a3[0], 1 + be + a3[1])
+            for A, B in (d, (d[0] - 1, d[1]), (d[0] - al, d[1] - be),
+                         (d[0] - a3[0], d[1] - a3[1])):
+                if A == 0:
+                    no_a0.append(((al, be), a3))
+                    continue
+                for k in range(floor(B) + 1, floor(A + B) + 1):
+                    t = Fraction(A) / (k - B)
+                    a2 = al + be * t
+                    if (a2 >= t and a3[0] + a3[1] * t >= a2
+                            and (name not in ("s/2", "p") or 1 + t >= a2)
+                            and (name != "a2" or a2 == t)):
+                        ratios.add(t)
+    return sorted(ratios), no_a0
+
+
+class TestRatioTable:
+    def test_table_matches_independent_derivation(self):
+        ratios, no_a0 = ratio_oracle()
+        assert len(ratios) == 34
+        assert [Fraction(n, m) for n, m in search._RATIOS] == ratios
+        assert all(gcd(n, m) == 1 for n, m in search._RATIOS)
+        # with no a0 term, a1 divides a2 and a3: well-formed only at a1 = 1
+        assert {(a2, a3) for a2, a3 in no_a0} == {
+            ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (0, 2)), ((0, 2), (0, 3))
+        }
+
+    def test_linked_well_formed_quadruples_have_a_listed_ratio(self):
+        # every (a0, a1) pair up to 100, not only the listed ratios
+        ratios = {Fraction(n, m) for n, m in search._RATIOS}
+        seen = set()
+        for a0, a1 in itertools.combinations_with_replacement(range(1, 101), 2):
+            for a2 in _middle_weights(a0, a1, 100):
+                for a3 in _largest_weights(a0, a1, a2, 100):
+                    a = (a0, a1, a2, a3)
+                    if _vertices_linked(a, sum(a)) and well_formed(Weights(a)):
+                        assert Fraction(a1, a0) in ratios, a
+                        seen.add(Fraction(a1, a0))
+        # 14 of the 34 ratios occur up to 100, the largest one among them
+        assert (len(seen), max(seen)) == (14, 6)
+
+
 class TestFindSignature:
     def test_minus_sixteen_contains_quartic(self):
         hits = find_signature(-16, 6)
@@ -278,4 +349,4 @@ class TestStabilizedEnumeration:
             monkeypatch.setattr(search, name, counted)
         families, bound = stabilized_enumeration()
         assert (len(families), bound) == (95, 60)
-        assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 368}
+        assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 148}

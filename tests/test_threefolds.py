@@ -41,6 +41,7 @@ from duvalk3.threefolds import (
 )
 from duvalk3.homology import l_class_surface
 from duvalk3.search import enumerate_baskets
+from sturm_oracle import link_order
 
 X = SpaceLabel("X", 6)
 
@@ -318,6 +319,9 @@ class TestT1Surface:
             b = Basket((d7,))
             assert t1_surface(b) != l_class_surface(sigma_k3(b), SpaceLabel("F", 4))
             assert not bsy_check(KawamataDiagram(1, 2, SurfaceModel(b))).passed
+            # the link order sees it: A_6 + A_1 has |det| 7 * 2, not 4
+            assert link_order(plumbing_form(cut(d7))) == 14
+            assert link_order(plumbing_form(standard_dynkin_graph(d7))) == 4
             # a -2-weighted forest is still negative definite: the
             # topological side does not see the lost edge
             assert novikov_assembly(b).sigma_surface == sigma_k3(b)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from duvalk3.ade import Basket
+from duvalk3.ade import Basket, plumbing_form, standard_dynkin_graph
 from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
     _monomials,
@@ -21,6 +21,7 @@ from duvalk3.wps import (
 )
 import qs_oracle
 from rr_oracle import altinok_series, hilbert_series, orbifold_euler
+from sturm_oracle import link_order
 
 
 def family(weights, degree):
@@ -254,6 +255,20 @@ class TestOrbifoldRiemannRoch:
         # F_{4,4} in P(1,1,2,2,2): only 4A_1, i.e. four points 1/2(1,1)
         for m in (3, 4, 5):
             assert self._matches((1, 1, 2, 2, 2), (4, 4), [(2, 1)] * m) == (m == 4)
+
+
+class TestLinkOrder:
+    def test_every_point_of_the_95_has_a_lens_space_link(self):
+        # a point 1/g(b, -b) has link S^3/Z_g with H_1 = Z/g, so its type
+        # A_{g-1} must have |det| = g: the A-graphs checked against the
+        # weights, with no signature formula in between
+        families = enumerate_k3_hypersurfaces(40)
+        assert len(families) == 95
+        for fam in families:
+            for q, _ in quotient_points(fam.family):
+                t = q.to_ade()
+                assert (t.kind, t.rank) == ("A", q.r - 1), str(q)
+                assert link_order(plumbing_form(standard_dynkin_graph(t))) == q.r
 
 
 class TestOrbifoldEuler:
