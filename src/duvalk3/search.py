@@ -5,10 +5,10 @@ the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
 well-formedness and quasismoothness tests.  One serial loop takes the
 weights from the vertex linking conditions: a3 from the few values that
 link P_3, a2 from the few that can link P_2 (at most eleven closed-form
-values up to a0+a1, and four above it), and a1 from the 34 ratios a1/a0
-that can link P_1.  It skips a triple whose three weights share a factor,
-tests P_0, P_1 and P_2 before any filter runs, and emits families in
-canonical order.
+values up to a0+a1, and four above it), a1 from the 34 ratios a1/a0 that
+can link P_1, and a0 <= 7, so the work is bounded for every weight bound.
+It skips a triple whose three weights share a factor, tests P_0, P_1 and
+P_2 before any filter runs, and emits families in canonical order.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _RATIOS = (
     (5, 3), (12, 7), (7, 4), (9, 5), (21, 11), (2, 1), (15, 7), (11, 5), (9, 4),
     (7, 3), (5, 2), (8, 3), (3, 1), (4, 1), (5, 1), (6, 1),
 )
+_MAX_A0 = 7  # the largest a0 of a linked, well-formed quadruple; proof below
 
 
 def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
@@ -173,13 +174,21 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     well-formed only if a1 = 1, t = 1.  Keeping the t >= 1 at which the
     forms are valid (a2 >= a1; a3 = s/2 or p only if p >= a2; a3 = a2 only
     if a1 = a2; a3 >= a2) leaves the 34 ratios of `_RATIOS`; any other a1
-    fails P_1 or `well_formed`.  Every ratio is <= 6, so a1 <= 6*a0: the
-    sweep visits O(W) pairs (a0, a1), not O(W^2).
+    fails P_1 or `well_formed`.  Every ratio is <= 6, so a1 <= 6*a0.
+
+    a0 <= `_MAX_A0`: every candidate is a0*(1, t, u, v) for one of 34*15*6
+    = 3,060 shapes (t = a1/a0, u = a2/a0, v = a3/a0 from the forms above),
+    none depending on a0 or W.  With D the least common denominator of t, u
+    and v, the weights are integers iff D | a0, and their gcd is then a0/D,
+    so a well-formed quadruple has a0 = D.  The shapes linked at all four
+    vertices give the 95 families (tests/test_search.py), with a0 in {1, 2,
+    3, 4, 5, 7}, a3 <= 33, all quasismooth.  The sweep visits <= 70 pairs
+    (a0, a1); as a3 <= s <= 3*(a0+a1), its candidates are fixed for W >= 147.
     """
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     families: list[K3Family] = []
-    for a0 in range(1, max_weight + 1):
+    for a0 in range(1, min(max_weight, _MAX_A0) + 1):
         for n, m in _RATIOS:
             if a0 % m:
                 continue

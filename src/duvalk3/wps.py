@@ -11,9 +11,9 @@ closed form, and ``basket`` converts them to a du Val basket.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from math import gcd
 
 from .ade import ADEType, Basket, repeated
@@ -36,6 +36,8 @@ class Weights:
     def __post_init__(self) -> None:
         if len(self.a) != 4:
             raise ValueError("exactly four weights required")
+        if set(map(type, self.a)) != {int}:  # not 4.0 or True, as for an ADE rank
+            raise ValueError(f"weights must be ints, got {self.a}")
         if any(x < 1 for x in self.a):
             raise ValueError(f"weights must be positive, got {self.a}")
         object.__setattr__(self, "a", tuple(sorted(self.a)))
@@ -52,6 +54,8 @@ class HypersurfaceFamily:
     degree: int
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            raise ValueError(f"degree must be an int, got {self.degree!r}")
         if self.degree < 1:
             raise ValueError(f"degree must be positive, got {self.degree}")
 
@@ -102,7 +106,7 @@ class CyclicQuotient:
 
 def well_formed(w: Weights) -> bool:
     """True iff every three of the four weights are coprime."""
-    return all(gcd(*t) == 1 for t in itertools.combinations(w.a, 3))
+    return all(gcd(*t) == 1 for t in combinations(w.a, 3))
 
 
 def _reachability(weights: list[int], d: int) -> Callable[[int], bool]:
@@ -167,9 +171,9 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
         return True  # linear cone: the general member is a coordinate graph
     if not _vertices_linked(a, d):
         return False
-    pure = [d % w == 0 for w in a]
-    for subset in _SUBSETS:
-        if any(pure[i] for i in subset):
+    pure = (d % a[0] == 0) | (d % a[1] == 0) << 1 | (d % a[2] == 0) << 2 | (d % a[3] == 0) << 3
+    for subset, mask in _SUBSETS:
+        if pure & mask:
             continue  # a pure power has degree d
         ws = [a[i] for i in subset]
         reaches = _reachability(ws, d)
@@ -185,12 +189,14 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
     return True
 
 
-# the coordinate subsets with |I| >= 2 that `quasismooth` tests, by size
-_SUBSETS = [s for k in range(2, 5) for s in itertools.combinations(range(4), k)]
+# the coordinate subsets with |I| >= 2 that `quasismooth` tests, by size, with their bitmasks
+_SUBSETS = [(s, sum(1 << i for i in s)) for k in range(2, 5) for s in combinations(range(4), k)]
 
-# the singular strata a member can meet in points: the 4 vertices, then the
-# 6 edges (well-formedness rules out larger singular strata)
-_STRATA = [(i,) for i in range(4)] + list(itertools.combinations(range(4), 2))
+# the singular strata a member can meet in points, as index pairs: the 4 vertices (i, i),
+# then the 6 edges (well-formedness rules out larger singular strata)
+_STRATA = [(i, i) for i in range(4)] + list(combinations(range(4), 2))
+# the two coordinates outside each pair of distinct indices, ascending
+_REST = {p: tuple(t for t in range(4) if t not in p) for p in permutations(range(4), 2)}
 
 
 def _monomials(ai: int, aj: int, d: int) -> int:
@@ -216,24 +222,24 @@ def quotient_points(f: HypersurfaceFamily) -> list[tuple[CyclicQuotient, int]]:
     a = f.weights.a
     d = f.degree
     out: list[tuple[CyclicQuotient, int]] = []
-    for s in _STRATA:
-        g = gcd(a[s[0]], a[s[-1]])  # a vertex's own weight, or an edge's gcd
-        edge = len(s) == 2
+    for i, j in _STRATA:
+        g = gcd(a[i], a[j])  # a vertex's own weight, or an edge's gcd
+        edge = i != j
         if g == 1 or (d % g == 0) != edge:
             continue
-        if edge:
-            n = _monomials(a[s[0]], a[s[1]], d) - 1
-        else:
-            l = next((l for l in range(4) if l != s[0] and (d - a[l]) % g == 0), None)
-            if l is None:
-                raise NoLinkingMonomial(f"vertex {s[0]} of {f}: no l with {g} | d - a_l")
-            s, n = s + (l,), 1
+        n = _monomials(a[i], a[j], d) - 1 if edge else 1
+        if not edge:
+            for j in range(4):  # the vertex's first linking coordinate
+                if j != i and (d - a[j]) % g == 0:
+                    break
+            else:
+                raise NoLinkingMonomial(f"vertex {i} of {f}: no l with {g} | d - a_l")
         if n > 0:
-            j, k = (t for t in range(4) if t not in s)
+            k, m = _REST[i, j]
             try:
-                out.append((CyclicQuotient(g, (a[j] % g, a[k] % g)), n))
+                out.append((CyclicQuotient(g, (a[k] % g, a[m] % g)), n))
             except ValueError as exc:
-                where = "edge ({},{})".format(*s) if edge else f"vertex {s[0]}"
+                where = f"edge ({i},{j})" if edge else f"vertex {i}"
                 raise NotDuVal(f"{where} of {f}: {exc}") from exc
     return out
 

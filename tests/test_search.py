@@ -1,6 +1,7 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 
 import pytest
 
@@ -129,7 +130,7 @@ class TestEnumerateK3Hypersurfaces:
             monkeypatch.setattr(search, name, counted)
         assert len(enumerate_k3_hypersurfaces(60)) == 95
         assert calls == {
-            "_middle_weights": 350, "_largest_weights": 403, "well_formed": 148,
+            "_middle_weights": 70, "_largest_weights": 225, "well_formed": 148,
             "quasismooth": 95,
         }
 
@@ -176,6 +177,11 @@ class TestEnumerateK3Hypersurfaces:
         assert len(families) == 95
         assert max(fam.family.weights.a[3] for fam in families) == 33
         assert families == enumerate_k3_hypersurfaces(60)
+
+    def test_unbounded_weight_bound_stays_bounded(self):
+        # a0 <= 7, a1 <= 6*a0 and the closed-form a2, a3: the sweep's work
+        # does not grow with W, so a billion runs as fast as 60
+        assert enumerate_k3_hypersurfaces(10**9) == enumerate_k3_hypersurfaces(60)
 
     def test_largest_weights_match_divisor_set(self):
         # the a3 = n/k, n in the four partial sums, k in {1, 2, 3}, that are
@@ -289,6 +295,30 @@ class TestRatioTable:
                         seen.add(Fraction(a1, a0))
         # 14 of the 34 ratios occur up to 100, the largest one among them
         assert (len(seen), max(seen)) == (14, 6)
+
+    def test_every_shape_gives_one_of_the_95_families(self):
+        # every candidate is a0*(1, t, u, v) for a ratio t, an a2 form u and
+        # an a3 form v; a well-formed one has a0 = D, the least common
+        # denominator of t, u and v, so the linked, well-formed quadruples
+        # of all weight bounds are finitely many, and a0 <= 7 bounds them
+        ratios, _ = ratio_oracle()
+        found = set()
+        for t in ratios:
+            for al, be in A2_FORMS:
+                u = al + be * t
+                for c0, c1, c2 in A3_FORMS.values():
+                    v = c0 + c1 * t + c2 * u
+                    if not t <= u <= v:
+                        continue  # the sweep builds ascending weights only
+                    a0 = lcm(t.denominator, u.denominator, v.denominator)
+                    a = tuple(int(a0 * x) for x in (1, t, u, v))
+                    if _vertices_linked(a, sum(a)) and well_formed(Weights(a)):
+                        found.add(a)
+        assert max(a[0] for a in found) == search._MAX_A0 == 7
+        assert Counter(a[0] for a in found) == {1: 41, 2: 23, 3: 16, 4: 8, 5: 5, 7: 2}
+        assert found == {fam.family.weights.a for fam in enumerate_k3_hypersurfaces(300)}
+        assert max(a[3] for a in found) == 33
+        assert all(quasismooth(HypersurfaceFamily.k3(Weights(a))) for a in found)
 
 
 class TestFindSignature:

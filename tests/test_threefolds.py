@@ -40,10 +40,25 @@ from duvalk3.threefolds import (
     threefold_lclass,
 )
 from duvalk3.homology import l_class_surface
-from duvalk3.search import enumerate_baskets
+from duvalk3.search import enumerate_baskets, enumerate_k3_hypersurfaces
+from duvalk3.wps import quotient_points
+from rr_oracle import orbifold_euler
 from sturm_oracle import link_order
 
 X = SpaceLabel("X", 6)
+
+
+def scissor_chi_y(basket, y, graph):
+    """chi_y(X) by additivity over the minimal resolution: the smooth K3's
+    2 - 20y + 2y^2, minus each exceptional tree E_t, plus its point.  A tree
+    of n_t curves meeting in e_t double points has chi_y(E_t) = n_t(1 - y) - e_t
+    (Brasselet-Schuermann-Yokura, J. Topol. Anal. 2 (2010)): y = 0 gives
+    chi(O_X), y = -1 the topological Euler number."""
+    trees = 0
+    for t in basket.entries:
+        g = graph(t)
+        trees += len(g.euler_weights) * (1 - y) - len(g.edges)
+    return 2 - 20 * y + 2 * y * y - trees + len(basket.entries)
 
 
 # the names the package exports from the 3-fold layer, which loads on first use
@@ -307,6 +322,20 @@ class TestT1Surface:
         # D_4, D_5 and E_8 are pinned by test_standard_graph_shapes and the
         # golden corpus; D_7 is pinned here
         d7 = ADEType("D", 7)
+        # the scissor relation at y = 0: every tree has n - e = 1, so
+        # chi_0(X) = 2 = chi(O_X), as for any rational singularities
+        baskets = [Basket((t,)) for t in ADE_TYPES] + [b for b, _ in enumerate_baskets(19)]
+        assert all(scissor_chi_y(b, 0, standard_dynkin_graph) == 2 for b in baskets)
+        # at y = -1, e_top(X) = e_orb + sum over the points of (1 - 1/r),
+        # with e_orb read off the weights alone
+        families = enumerate_k3_hypersurfaces(60)
+        assert len(families) == 95
+        for fam in families:
+            f = fam.family
+            orders = [q.r for q, n in quotient_points(f) for _ in range(n)]
+            e_orb = orbifold_euler(f.weights.a, (f.degree,))
+            e_top = e_orb + sum(1 - Fraction(1, r) for r in orders)
+            assert scissor_chi_y(fam.basket, -1, standard_dynkin_graph) == e_top, str(f)
 
         def cut(t, euler_weight=-2):
             g = standard_dynkin_graph(t, euler_weight)
@@ -322,6 +351,10 @@ class TestT1Surface:
             # the link order sees it: A_6 + A_1 has |det| 7 * 2, not 4
             assert link_order(plumbing_form(cut(d7))) == 14
             assert link_order(plumbing_form(standard_dynkin_graph(d7))) == 4
+            # the scissor relation sees it: the cut tree has n - e = 2, so
+            # chi_0 = 2 - 2 + 1 = 1, and e_top = 24 - 9 + 1 = 16, not 17
+            assert [scissor_chi_y(b, y, cut) for y in (0, -1)] == [1, 16]
+            assert [scissor_chi_y(b, y, standard_dynkin_graph) for y in (0, -1)] == [2, 17]
             # a -2-weighted forest is still negative definite: the
             # topological side does not see the lost edge
             assert novikov_assembly(b).sigma_surface == sigma_k3(b)

@@ -40,6 +40,17 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights((1, 2, 3))
 
+    def test_rejects_non_int_weights(self):
+        # True would print as P(True,1,1,1), and 2.0 fails later inside gcd
+        for a in ((True, 1, 1, 1), (1, 1, 1, 2.0)):
+            with pytest.raises(ValueError, match=r"^weights must be ints, got \("):
+                Weights(a)
+
+    def test_family_rejects_non_int_degree(self):
+        # 4.0 would print as F_4.0 and pass quasismooth and basket
+        with pytest.raises(ValueError, match=r"^degree must be an int, got 4\.0$"):
+            HypersurfaceFamily(Weights((1, 1, 1, 1)), 4.0)
+
 
 class TestCyclicQuotient:
     def test_residues_reduced_mod_r(self):
