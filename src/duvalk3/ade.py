@@ -201,8 +201,8 @@ def sigma_k3(b: Basket, q: int = 0) -> int:
     exceptional curve raises the signature by one; for q > 0 the surface
     is nonsingular with signature 0.
     """
-    if q not in (0, 1, 2):
-        raise ValueError(f"surface irregularity must be 0, 1 or 2, got {q}")
+    if type(q) is not int or q not in (0, 1, 2):  # True would pass as 1
+        raise ValueError(f"surface irregularity must be 0, 1 or 2, got {q!r}")
     if q > 0:
         if b.entries:
             raise ValueError("a trivial-canonical surface with q > 0 is nonsingular")

@@ -58,6 +58,8 @@ class KawamataDiagram:
     fiber: SurfaceModel | None = None
 
     def __post_init__(self) -> None:
+        if type(self.q) is not int or type(self.cover_degree) is not int:  # not 2.0 or True
+            raise ValueError(f"q and cover degree must be ints: {self.q!r}, {self.cover_degree!r}")
         if self.q not in (1, 2, 3):
             raise ValueError(f"3-fold irregularity must be 1, 2 or 3, got {self.q}")
         if self.cover_degree < 1:

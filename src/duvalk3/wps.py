@@ -10,8 +10,6 @@ closed form, and ``basket`` converts them to a du Val basket.
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
@@ -109,30 +107,6 @@ def well_formed(w: Weights) -> bool:
     return all(gcd(*t) == 1 for t in combinations(w.a, 3))
 
 
-def _reachability(weights: list[int], d: int) -> Callable[[int], bool]:
-    """A test for n <= d: is n a nonnegative combination of the weights?
-
-    For each residue class mod m = min(weights) it keeps the least
-    reachable degree in the class, if that is <= d; n is reachable iff
-    n >= it (Böcker–Lipták 2007, in Dijkstra's form).  Only degrees <= d
-    are settled, so time and memory grow with the number of classes that
-    a degree <= d reaches (at most m), not with d itself.
-    """
-    m = min(weights)
-    least = {0: 0}
-    heap = [0]
-    while heap:
-        n = heapq.heappop(heap)
-        if least[n % m] < n:
-            continue  # a smaller degree has settled this class
-        for w in weights:
-            x = n + w
-            if x <= d and x < least.get(x % m, x + 1):
-                least[x % m] = x
-                heapq.heappush(heap, x)
-    return lambda n: n >= 0 and least.get(n % m, n + 1) <= n
-
-
 def _vertices_linked(a: tuple[int, ...], d: int) -> bool:
     """`quasismooth`'s requirement on every singleton I = {i}.
 
@@ -163,7 +137,16 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
       and its singularities stay isolated.
 
     The singletons I = {i} are the vertex linking conditions
-    (`_vertices_linked`), which the K3 sweep tests before any filter.
+    (`_vertices_linked`), which the K3 sweep tests before any filter.  Let
+    d not be a weight and every vertex be linked; then the first
+    requirement holds for every |I| >= 2 once the second does.  For a
+    coprime edge {i, j} with no monomial, a_i does not divide d, so P_i
+    links through some e outside {i, j} with 0 < d - a_e, and likewise
+    P_j.  One e alone would give a_i*a_j | d - a_e, so d would exceed the
+    Frobenius number a_i*a_j - a_i - a_j and be a combination of a_i and
+    a_j; so both outside coordinates are linked.  A larger I contains a
+    pair that carries a monomial, or one of whose linked coordinates lies
+    in I, and so carries a monomial itself.
     """
     a = f.weights.a
     d = f.degree
@@ -171,30 +154,16 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
         return True  # linear cone: the general member is a coordinate graph
     if not _vertices_linked(a, d):
         return False
-    pure = (d % a[0] == 0) | (d % a[1] == 0) << 1 | (d % a[2] == 0) << 2 | (d % a[3] == 0) << 3
-    for subset, mask in _SUBSETS:
-        if pure & mask:
-            continue  # a pure power has degree d
-        ws = [a[i] for i in subset]
-        reaches = _reachability(ws, d)
-        if reaches(d):
-            continue
-        if len(subset) == 2 and gcd(*ws) > 1:
+    for i, j in _EDGES:
+        if gcd(a[i], a[j]) > 1 and not _monomials(a[i], a[j], d):
             return False  # the member contains the singular edge
-        linked = sum(
-            1 for e in range(4) if e not in subset and reaches(d - a[e])
-        )
-        if linked < len(subset):
-            return False
     return True
 
 
-# the coordinate subsets with |I| >= 2 that `quasismooth` tests, by size, with their bitmasks
-_SUBSETS = [(s, sum(1 << i for i in s)) for k in range(2, 5) for s in combinations(range(4), k)]
-
-# the singular strata a member can meet in points, as index pairs: the 4 vertices (i, i),
-# then the 6 edges (well-formedness rules out larger singular strata)
-_STRATA = [(i, i) for i in range(4)] + list(combinations(range(4), 2))
+# the 6 coordinate edges as index pairs; the singular strata a member can meet in points are
+# the 4 vertices (i, i), then the edges (well-formedness rules out larger singular strata)
+_EDGES = list(combinations(range(4), 2))
+_STRATA = [(i, i) for i in range(4)] + _EDGES
 # the two coordinates outside each pair of distinct indices, ascending
 _REST = {p: tuple(t for t in range(4) if t not in p) for p in permutations(range(4), 2)}
 

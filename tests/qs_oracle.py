@@ -1,7 +1,8 @@
 """Independent quasismoothness oracle: brute force over the degree-d monomials.
 
-Kept separate from the production path (the least reachable degree per
-residue class and the vertex linking test of ``duvalk3.wps``): it tries
+Kept separate from the production path (the vertex linking test of
+``duvalk3.wps`` plus one closed-form monomial count per non-coprime edge,
+with no other coordinate subset tested): it tries
 every exponent vector of weighted degree d, keeps each monomial's support
 and its exponents equal to 1, and applies to that list the two requirements
 stated in the ``quasismooth`` docstring,

@@ -119,10 +119,21 @@ class TestBasketCommand:
         assert out.strip().split("\t") == ["F_10 ⊂ P(1,2,2,5)", "5A_1", "-11"]
 
     def test_huge_degree_finishes(self, capsys):
-        # reachability keeps one least degree per residue class, so d = 10^6 is quick
+        # quasismooth counts monomials in closed form, one count per singular edge,
+        # so d = 10^6 is quick
         code, out, _ = run(capsys, "basket", "1", "1", "1", "2", "--degree", "1000000")
         assert code == EX_OK
         assert "basket: (empty)" in out.splitlines()
+
+    def test_huge_weights_finish(self, capsys):
+        # P(1,1,10^6,10^6+1) passes quasismooth without memory that grows with
+        # the weights; its vertex 1/10^6(1,1) is then refused
+        code, out, err = run(
+            capsys, "basket", "1", "1", "1000000", "1000001", "--degree", "1000001000001"
+        )
+        assert code == EX_REJECT
+        assert out == ""
+        assert "is not du Val" in err
 
     @pytest.mark.parametrize("degree", ["2000", "2000000"])
     def test_computed_basket_past_rank_cap_rejected(self, capsys, degree):

@@ -161,6 +161,11 @@ class TestSurfaceModel:
         with pytest.raises(ValueError):
             SurfaceModel(Basket(), q=3)
 
+    def test_non_int_q_rejected(self):
+        # True would print as q(F)=True
+        with pytest.raises(ValueError, match=r"got True$"):
+            SurfaceModel(Basket(), True)
+
 
 class TestKawamataDiagram:
     def test_q1_requires_fiber(self):
@@ -174,6 +179,13 @@ class TestKawamataDiagram:
     def test_q_range(self):
         with pytest.raises(ValueError):
             KawamataDiagram(4, 1)
+
+    def test_non_int_q_or_cover_degree_rejected(self):
+        # 2.0 died inside Fraction in bsy_check; True printed as q(X) = True and
+        # shared the fiber-map cache entry of q = 1
+        for q, degree in ((1, 2.0), (True, 2)):
+            with pytest.raises(ValueError, match=r"^q and cover degree must be ints"):
+                KawamataDiagram(q, degree, SurfaceModel(Basket()))
 
     def test_fiber_kinds(self):
         assert KawamataDiagram(1, 1, SurfaceModel()).fiber_kind == "surface"

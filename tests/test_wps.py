@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,7 +9,6 @@ from duvalk3.ade import Basket, plumbing_form, standard_dynkin_graph
 from duvalk3.search import enumerate_k3_hypersurfaces
 from duvalk3.wps import (
     _monomials,
-    _reachability,
     _vertices_linked,
     CyclicQuotient,
     HypersurfaceFamily,
@@ -120,19 +121,61 @@ class TestQuasismooth:
                 ), (a, d)
 
 
-class TestReachability:
-    def test_matches_set_closure(self):
-        for n in (1, 2, 3):
-            for ws in itertools.combinations_with_replacement(range(1, 10), n):
-                for d in range(0, 40):
-                    reach = {0}
-                    for w in ws:
-                        for x in range(d + 1):  # ascending, so multiples chain
-                            if x in reach and x + w <= d:
-                                reach.add(x + w)
-                    reaches = _reachability(list(ws), d)
-                    got = {x for x in range(d + 1) if reaches(x)}
-                    assert got == reach, (ws, d)
+def _reachable(ws, top):
+    """Every degree <= top that is a nonnegative combination of ws, by set closure."""
+    reach = {0}
+    for w in ws:
+        for x in range(top + 1 - w):  # ascending, so multiples chain
+            if x in reach:
+                reach.add(x + w)
+    return reach
+
+
+def _definition(a, d, reach):
+    """Both requirements of the quasismooth docstring, over all 15 nonempty
+    subsets; reach maps each subset to the degrees its weights reach."""
+    if d in a:
+        return True
+    for subset, r in reach.items():
+        if d in r:
+            continue  # a monomial supported on the subset alone
+        if len(subset) == 2 and gcd(a[subset[0]], a[subset[1]]) > 1:
+            return False
+        linked = sum(1 for e in range(4) if e not in subset and d - a[e] in r)
+        if linked < len(subset):
+            return False
+    return True
+
+
+class TestEdgeLemma:
+    """quasismooth tests the vertices and the non-coprime edges only; the
+    lemma in its docstring says no other subset can fail."""
+
+    def test_matches_full_definition(self):
+        # wider than the brute-force oracle: every ascending quadruple <= 16
+        top = 48
+        subsets = [s for k in range(1, 5) for s in itertools.combinations(range(4), k)]
+        for a in itertools.combinations_with_replacement(range(1, 17), 4):
+            w = Weights(a)
+            reach = {s: _reachable([a[i] for i in s], top) for s in subsets}
+            for d in range(1, top + 1):
+                f = HypersurfaceFamily(w, d)
+                assert quasismooth(f) == _definition(a, d, reach), (a, d)
+
+    def test_set_closure_reference(self):
+        # 3 and 5 miss 1, 2, 4 and 7 (the Frobenius number 3*5 - 3 - 5)
+        assert _reachable([3, 5], 12) == {0, 3, 5, 6, 8, 9, 10, 11, 12}
+
+    def test_memory_bounded_for_any_weights(self):
+        # every vertex linked and no singular edge: nothing grows with the weights
+        f = family((1, 1, 10**5, 10**5 + 1), 10**5 * (10**5 + 1) + 1)
+        tracemalloc.start()
+        try:
+            assert quasismooth(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestMonomialCount:
