@@ -128,7 +128,7 @@ class Basket:
     @property
     def total_d(self) -> int:
         """Total number of exceptional curves, the sum over all entries."""
-        return sum(t.components for t in self.entries)
+        return sum(t.rank for t in self.entries)
 
     def counts(self) -> list[tuple[ADEType, int]]:
         """Entries grouped as (type, multiplicity) in canonical order."""
@@ -256,7 +256,7 @@ def standard_dynkin_graph(t: ADEType, euler_weight: int = -2) -> DynkinGraph:
 
 @dataclass(frozen=True)
 class SymIntForm:
-    """A symmetric integer bilinear form, stored as a full square matrix."""
+    """A symmetric integer bilinear form, stored as a full square matrix of ints."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -266,6 +266,8 @@ class SymIntForm:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix is not square")
+            if not {int}.issuperset(map(type, row)):  # True would pass as 1
+                raise ValueError(f"matrix entries must be ints, got row {row!r}")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -310,6 +312,13 @@ def plumbing_form(g: DynkinGraph) -> SymIntForm:
     return SymIntForm(tuple(tuple(row) for row in m))
 
 
+def _split_off(a: list[list[int]], k: int) -> list[int]:
+    """Remove row and column k from the upper triangle ``a`` in place and
+    return column k without its diagonal entry, indexed like the rows left."""
+    v = [a[i].pop(k - i) for i in range(k)]
+    return v + a.pop(k)[1:]
+
+
 def form_signature(q: SymIntForm) -> FormSignature:
     """Exact inertia of a symmetric integer form by integer Schur complements.
 
@@ -322,34 +331,40 @@ def form_signature(q: SymIntForm) -> FormSignature:
     sign d/p; on an all-zero diagonal a nonzero entry e splits off a
     hyperbolic plane (one positive, one negative); a zero block is the
     radical.
+
+    The block is symmetric, so ``a`` keeps its upper triangle: ``a[i][j - i]``
+    is entry (i, j) for j >= i.  The pivot is the first nonzero diagonal
+    entry, else the first nonzero entry above the diagonal in row-major order.
     """
-    a = [list(row) for row in q.entries]
+    a = [list(row[i:]) for i, row in enumerate(q.entries)]
     p = 1
     pos = neg = 0
     while a:
         n = len(a)
-        k = next((k for k in range(n) if a[k][k]), None)
+        k = next((k for k in range(n) if a[k][0]), None)
         if k is not None:
-            d = a[k][k]
+            d = a[k][0]
             if (d > 0) == (p > 0):
                 pos += 1
             else:
                 neg += 1
-            rest = [i for i in range(n) if i != k]
-            a = [[(d * a[t][c] - a[t][k] * a[k][c]) // p for c in rest] for t in rest]
+            v = _split_off(a, k)
+            a = [[(d * x - vi * vj) // p for x, vj in zip(row, v[i:])]
+                 for i, (row, vi) in enumerate(zip(a, v))]
             p = d
             continue
-        off = next(((r, s) for r in range(n) for s in range(r + 1, n) if a[r][s]), None)
+        off = next(((r, r + j) for r in range(n) for j in range(1, n - r) if a[r][j]), None)
         if off is None:
             break
         r, s = off
-        e = a[r][s]
+        e = a[r][s - r]
         pos += 1
         neg += 1
-        rest = [i for i in range(n) if i != r and i != s]
-        a = [
-            [e * (a[t][r] * a[s][c] + a[t][s] * a[r][c] - e * a[t][c]) // (p * p) for c in rest]
-            for t in rest
-        ]
+        w = _split_off(a, s)
+        del w[r]  # entry (r, s) = e; row r goes next
+        u = _split_off(a, r)
+        pp = p * p
+        a = [[e * (ui * wj + wi * uj - e * x) // pp for x, uj, wj in zip(row, u[i:], w[i:])]
+             for i, (row, ui, wi) in enumerate(zip(a, u, w))]
         p = -e * e // p
     return FormSignature(pos, neg, q.dim - pos - neg)

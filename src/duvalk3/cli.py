@@ -7,6 +7,7 @@ error; 65 catalog data error; 66 catalog file unreadable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -191,7 +192,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared: never mutate it (parsing does not)."""
     parser = _Parser(
         prog="duvalk3",
         description=(

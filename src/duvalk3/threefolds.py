@@ -106,7 +106,7 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     computed once per ADE type per process and never read off the rank.
     """
     _check_curve_bound(b.total_d)
-    tubes = tuple(_tube_signature(t) for t in b)
+    tubes = tuple(map(_tube_signature, b.entries))
     return NovikovDecomposition(
         tube_signatures=tubes,
         sigma_complement=smooth_k3_signature() - sum(tubes),

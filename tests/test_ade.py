@@ -309,6 +309,20 @@ class TestFormSignature:
         with pytest.raises(ValueError):
             SymIntForm(((0, 1), (2, 0)))
 
+    @pytest.mark.parametrize("x", [0.5, 2.0, Fraction(1, 2), Fraction(2), True])
+    def test_rejects_non_int_entries(self, x):
+        with pytest.raises(ValueError, match="ints"):
+            SymIntForm(((1, x), (x, 1)))
+
+    def test_rejects_positive_definite_float_form(self):
+        # the elimination would read it as FormSignature(1, 0, 1)
+        with pytest.raises(ValueError, match="ints"):
+            SymIntForm(((0.5, 0.3), (0.3, 0.5)))
+
+    def test_plumbing_refuses_non_int_weight(self):
+        with pytest.raises(ValueError, match="ints"):
+            plumbing_form(DynkinGraph((-2.0, -2), ((0, 1),)))
+
 
 def symmetric_forms(max_dim=5, bound=3):
     def build(draw):
@@ -329,8 +343,8 @@ def symmetric_forms(max_dim=5, bound=3):
 
 class TestSignatureProperties:
     @staticmethod
-    def check_exhaustive(dim, values):
-        upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    def check_exhaustive(dim, values, zero_diagonal=False):
+        upper = [(i, j) for i in range(dim) for j in range(i + zero_diagonal, dim)]
         for entries in product(values, repeat=len(upper)):
             m = [[0] * dim for _ in range(dim)]
             for (i, j), x in zip(upper, entries):
@@ -344,6 +358,11 @@ class TestSignatureProperties:
     def test_exhaustive_dim_3(self):
         # all 729 forms; reaches the hyperbolic step after a pivot, p > 0 and p < 0
         self.check_exhaustive(3, range(-1, 2))
+
+    def test_exhaustive_zero_diagonal_dim_4(self):
+        # all 729 forms; a nonzero one starts with a hyperbolic step, and a
+        # square step may follow on the 2 x 2 block left
+        self.check_exhaustive(4, range(-1, 2), zero_diagonal=True)
 
     @settings(max_examples=300, deadline=None)
     @given(symmetric_forms())
@@ -372,3 +391,66 @@ class TestSignatureProperties:
         assert sneg.sigma == -s.sigma
         assert (sneg.positives, sneg.negatives) == (s.negatives, s.positives)
 
+
+def unimodular(rng, n):
+    """A unit upper-triangular integer matrix times a signed permutation.
+
+    With the permutation on the right, P^T D P is a symmetric permutation of
+    the LDL^T form U^T D U, so a zero diagonal entry need not be a zero row."""
+    u = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return [[signs[j] * row[perm[j]] for j in range(n)] for row in u]
+
+
+def congruent(p, d, q):
+    """P^T D Q for a rectangular D given as a list of rows."""
+    pd = [[sum(p[k][i] * d[k][l] for k in range(len(d))) for l in range(len(d[0]))]
+          for i in range(len(p[0]))]
+    return [[sum(pd[i][l] * q[l][j] for l in range(len(q))) for j in range(len(q[0]))]
+            for i in range(len(pd))]
+
+
+class TestTriangleKernelHighRank:
+    """Ranks 6-24, which the hypothesis tests (dim <= 5) never reach."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_sylvester_inertia(self, seed):
+        # P^T D P with P unimodular has the inertia of the diagonal D
+        rng = random.Random(seed)
+        n = rng.randint(6, 24)
+        d = [rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n)]
+        d[rng.randrange(n)] = 0  # degenerate
+        p = unimodular(rng, n)
+        diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        q = SymIntForm(tuple(map(tuple, congruent(p, diag, p))))
+        expected = FormSignature(
+            sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0)
+        )
+        assert form_signature(q) == expected
+        assert form_signature(-q) == FormSignature(
+            expected.negatives, expected.positives, expected.zeros
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_hyperbolic_steps_only(self, seed):
+        # [[0, B], [B^T, 0]] on a shuffled partition X, Y of the non-isolated
+        # vertices has inertia (rank B, rank B, rest).  Every step splits off
+        # a hyperbolic plane: the block left stays zero on X x X and Y x Y,
+        # so its diagonal stays zero.  The isolated vertices come first, so
+        # the first pair (r, s) sits inside the block.
+        rng = random.Random(seed)
+        n = rng.randint(6, 24)
+        lead = rng.randint(1, 3)
+        rest = rng.sample(range(lead, n), n - lead)
+        xs, ys = rest[: len(rest) // 2], rest[len(rest) // 2 :]
+        rank = rng.randint(1, min(len(xs), len(ys)))
+        mid = [[rng.choice((-3, -2, -1, 1, 2, 3)) if i == j < rank else 0
+                for j in range(len(ys))] for i in range(len(xs))]
+        b = congruent(unimodular(rng, len(xs)), mid, unimodular(rng, len(ys)))
+        m = [[0] * n for _ in range(n)]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                m[x][y] = m[y][x] = b[i][j]
+        q = SymIntForm(tuple(map(tuple, m)))
+        assert form_signature(q) == FormSignature(rank, rank, n - 2 * rank)

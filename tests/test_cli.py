@@ -9,6 +9,7 @@ from duvalk3.cli import (
     EX_OK,
     EX_REJECT,
     EX_USAGE,
+    build_parser,
     main,
 )
 
@@ -436,6 +437,29 @@ class TestSearchCommand:
         _, out, _ = run(capsys, "search", "--max-weight", "8")
         rows = load_catalog(out)
         assert all(row.codim == 1 for row in rows)
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process; no call may leave a trace
+    in it for the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_golden_records_in_order_then_reversed(self, capsys, monkeypatch):
+        monkeypatch.delenv(CATALOG_ENV, raising=False)
+        for argv, golden, exit_code in GOLDEN_RECORDS + GOLDEN_RECORDS[::-1]:
+            code, out, _ = run(capsys, *argv)
+            assert code == exit_code, argv
+            with open(GOLDEN / golden, encoding="utf-8", newline="") as fh:
+                assert out == fh.read(), argv
+
+    def test_usage_error_leaves_no_trace(self, capsys):
+        argv = ("search", "--max-weight", "8", "--format", "tsv")
+        first = run(capsys, *argv)
+        assert run(capsys, "search", "--max-weight", "0", "--target", "3")[0] == EX_USAGE
+        assert run(capsys, *argv) == first
+        assert first[0] == EX_OK
 
 
 class TestUsage:
