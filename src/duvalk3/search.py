@@ -8,12 +8,14 @@ link P_3, a2 from the few that can link P_2 (at most eleven closed-form
 values up to a0+a1, and four above it), a1 from the 34 ratios a1/a0 that
 can link P_1, and a0 <= 7, so the work is bounded for every weight bound.
 It skips a triple whose three weights share a factor, tests P_0, P_1 and
-P_2 before any filter runs, and emits families in canonical order.
+P_2 before any filter runs, and emits families in canonical order.  It
+runs once per process, at 147, and every weight bound filters that list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .ade import ADE_TYPES, EXCEPTIONAL_CURVE_BOUND, ADEType, Basket, BoundViolation, sigma_k3
@@ -34,12 +36,19 @@ _RATIOS = (
 _MAX_A0 = 7  # the largest a0 of a linked, well-formed quadruple; proof below
 
 
+def _require_ints(**values: object) -> None:
+    for name, value in values.items():
+        if type(value) is not int:  # not 60.0 or True, as for `Weights`
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
     """All du Val baskets with at most max_total_d exceptional curves.
 
     Multisets are emitted in canonical (lexicographic) order together with
     their K3 signatures.
     """
+    _require_ints(max_total_d=max_total_d)
     if max_total_d < 0:
         raise ValueError(f"max_total_d must be >= 0, got {max_total_d}")
     if max_total_d > EXCEPTIONAL_CURVE_BOUND:
@@ -184,9 +193,22 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     vertices give the 95 families (tests/test_search.py), with a0 in {1, 2,
     3, 4, 5, 7}, a3 <= 33, all quasismooth.  The sweep visits <= 70 pairs
     (a0, a1); as a3 <= s <= 3*(a0+a1), its candidates are fixed for W >= 147.
+    So it runs once, at 147, and W keeps the families with a3 <= W in order.
     """
+    _require_ints(max_weight=max_weight)
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
+    return [f for f in _k3_families() if f.family.weights.a[3] <= max_weight]
+
+
+@lru_cache(maxsize=1)
+def _k3_families() -> tuple[K3Family, ...]:
+    """The sweep at 147 = 3*(7 + 6*7), from `_MAX_A0` and a1 <= 6*a0 (`_RATIOS`)."""
+    return tuple(_sweep(147))
+
+
+def _sweep(max_weight: int) -> list[K3Family]:
+    """The families with weights <= max_weight, by the rules above."""
     families: list[K3Family] = []
     for a0 in range(1, min(max_weight, _MAX_A0) + 1):
         for n, m in _RATIOS:
@@ -221,6 +243,7 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
 
 def find_signature(target: int, max_weight: int) -> list[K3Family]:
     """Families whose general member realizes the target signature."""
+    _require_ints(target=target)
     return [f for f in enumerate_k3_hypersurfaces(max_weight) if f.sigma == target]
 
 
@@ -231,11 +254,12 @@ def stabilized_enumeration(
 
     The bound is increased in steps of `step` >= 1 from `start` until two
     consecutive raises leave the count unchanged; returns the final
-    families and bound.  Each stability check is one sweep at the bound:
-    the sweep at W holds exactly the families of every W' <= W with
-    a3 <= W', so the counts at W - step and W - 2*step both equal its own
-    iff every family it finds has a3 <= W - 2*step.
+    families and bound.  Each stability check filters the once-per-process
+    family list at the bound W: the families at W hold exactly those of
+    every W' <= W with a3 <= W', so the counts at W - step and W - 2*step
+    both equal its own iff every family at W has a3 <= W - 2*step.
     """
+    _require_ints(start=start, step=step)
     if start < 1 or step < 1:
         raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
     bound = start + 2 * step

@@ -26,6 +26,58 @@ from duvalk3.wps import (
 )
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Count the calls to the named `search` functions from a cold cache.
+
+    The family list is swept once per process, so without `cache_clear` a
+    test that runs after any other query would count no sweep at all.
+    """
+    search._k3_families.cache_clear()
+    calls = {}
+
+    def count(*names):
+        for name in names:
+            def wrapper(*args, _real=getattr(search, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            calls[name] = 0
+            monkeypatch.setattr(search, name, wrapper)
+        return calls
+
+    return count
+
+
+def family_keys(families):
+    return [(f.family.weights.a, f.family.degree, f.basket.tokens(), f.sigma)
+            for f in families]
+
+
+@pytest.mark.parametrize(
+    ("fn", "args"),
+    [
+        (enumerate_k3_hypersurfaces, (60.0,)),
+        (enumerate_k3_hypersurfaces, (True,)),
+        (stabilized_enumeration, (40, 10.5)),
+        (stabilized_enumeration, (40.0, 10)),
+        (stabilized_enumeration, (True, 10)),
+        (enumerate_baskets, (3.5,)),
+        (enumerate_baskets, (True,)),
+        (find_signature, (True, 60)),
+        (find_signature, (3.0, 60)),
+        (find_signature, (3, 60.0)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_refuses_non_int_bounds_and_targets(fn, args):
+    # each used to return a plausible wrong answer: 60.0 gave the 95
+    # families, 3.5 seven baskets, and True counted as 1, so that
+    # find_signature(True, 60) gave the sigma = 1 family
+    with pytest.raises(ValueError, match="must be an int"):
+        fn(*args)
+
+
 def count_baskets_oracle(max_total):
     """Independent multiset count: unbounded-multiplicity coin counting."""
     ranks = [("A", r) for r in range(1, max_total + 1)]
@@ -116,23 +168,27 @@ class TestEnumerateK3Hypersurfaces:
         ]
         assert got == expected
 
-    def test_filters_see_only_linked_quadruples(self, monkeypatch):
+    def test_filters_see_only_linked_quadruples(self, counted):
         # the linking conditions choose a1, a2 and a3, a triple sharing a
         # factor is skipped, and an unlinked quadruple is rejected before
         # well_formed or quasismooth sees it: exact counts, no clock
-        calls = {"_middle_weights": 0, "_largest_weights": 0, "well_formed": 0,
-                 "quasismooth": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(search, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(search, name, counted)
+        calls = counted("_middle_weights", "_largest_weights", "well_formed",
+                        "quasismooth")
         assert len(enumerate_k3_hypersurfaces(60)) == 95
-        assert calls == {
+        expected = {
             "_middle_weights": 70, "_largest_weights": 225, "well_formed": 148,
             "quasismooth": 95,
         }
+        assert calls == expected
+        # a later query in the process filters the list and sweeps nothing
+        assert len(enumerate_k3_hypersurfaces(20)) < 95
+        assert calls == expected
+
+    def test_filtered_list_matches_the_sweep_at_every_bound(self):
+        for w in (*range(1, 161), 200, 300, 1000, 10**9):
+            assert family_keys(enumerate_k3_hypersurfaces(w)) == family_keys(
+                search._sweep(w)
+            ), w
 
     def test_p2_unlinked_beyond_the_lemma_values(self):
         # for a2 > a0+a1 outside {2a0+a1, a0+2a1, 2a1, 2(a0+a1)} no a3 in
@@ -345,38 +401,39 @@ class TestStabilizedEnumeration:
     @staticmethod
     def bound_by_bound(start, step):
         # one sweep per bound, until two raises leave the count unchanged
-        families = enumerate_k3_hypersurfaces(start)
+        families = search._sweep(start)
         bound, unchanged = start, 0
         while unchanged < 2:
             bound += step
-            more = enumerate_k3_hypersurfaces(bound)
+            more = search._sweep(bound)
             unchanged = unchanged + 1 if len(more) == len(families) else 0
             families = more
-        return families, bound
+        return family_keys(families), bound
 
     def test_matches_bound_by_bound_loop(self):
         pinned = {(40, 10): (60, 95), (1, 1): (29, 94), (5, 3): (41, 95),
                   (30, 2): (38, 95)}
-        for (start, step), (bound, count) in pinned.items():
+        grid = itertools.product((1, 2, 7, 20, 33, 55), (1, 2, 3, 10))
+        for start, step in (*pinned, *grid):
             families, got_bound = stabilized_enumeration(start, step)
-            assert (got_bound, len(families)) == (bound, count), (start, step)
-            assert (families, got_bound) == self.bound_by_bound(start, step)
+            if (start, step) in pinned:
+                assert (got_bound, len(families)) == pinned[start, step]
+            assert (family_keys(families), got_bound) == self.bound_by_bound(
+                start, step
+            ), (start, step)
 
     def test_rejects_bad_start_or_step(self):
         for start, step in ((0, 10), (40, -1), (40, 0)):
             with pytest.raises(ValueError):
                 stabilized_enumeration(start, step)
 
-    def test_one_sweep_when_already_stable(self, monkeypatch):
-        # the counts at 40 and 50 are read off the sweep at 60: exact
+    def test_one_sweep_when_already_stable(self, counted):
+        # the counts at 40 and 50 are read off the families at 60: exact
         # counts, no clock
-        calls = {"enumerate_k3_hypersurfaces": 0, "well_formed": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(search, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(search, name, counted)
+        calls = counted("enumerate_k3_hypersurfaces", "well_formed")
         families, bound = stabilized_enumeration()
         assert (len(families), bound) == (95, 60)
         assert calls == {"enumerate_k3_hypersurfaces": 1, "well_formed": 148}
+        # the sigma = 3 probe after it filters the same list, sweeping nothing
+        assert find_signature(3, bound) == []
+        assert calls == {"enumerate_k3_hypersurfaces": 2, "well_formed": 148}
