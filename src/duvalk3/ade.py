@@ -22,12 +22,20 @@ _KINDS = ("A", "D", "E")
 _TOKEN_RE = re.compile(r"^(\d*)\s*([ADE])_?(\d+)$")
 
 
+def _require_ints(what: str, *values: object) -> None:
+    """The one not-an-int guard: True, 2.0 and Fraction(2) equal ints, so a
+    range test, a dict lookup or a format would take them for one."""
+    for value in values:
+        if type(value) is not int:
+            got, noun = (value, "an int") if len(values) == 1 else (values, "ints")
+            raise ValueError(f"{what} must be {noun}, got {got!r}")
+
+
 def _problem(kind: object, rank: object) -> str | None:
-    """Why ``(kind, rank)`` names no ADE type, or None if it names one."""
+    """Why ``(kind, rank)`` names no ADE type, or None; a non-int rank raises."""
     if not isinstance(kind, str) or kind not in _KINDS:
         return f"unknown Dynkin kind {kind!r}"
-    if type(rank) is not int:  # a dict lookup would take 3.0 and True as 3 and 1
-        return f"rank {rank!r} is not an int"
+    _require_ints("rank", rank)
     if not 1 <= rank <= RANK_CAP:
         return f"rank {rank} outside [1, {RANK_CAP}]"
     if kind == "D" and rank < 4:
@@ -266,8 +274,7 @@ class SymIntForm:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            if not {int}.issuperset(map(type, row)):  # True would pass as 1
-                raise ValueError(f"matrix entries must be ints, got row {row!r}")
+            _require_ints("matrix entries", *row)
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .ade import EXCEPTIONAL_CURVE_BOUND, Basket, BoundViolation, sigma_k3
+from .ade import EXCEPTIONAL_CURVE_BOUND, Basket, BoundViolation, _require_ints, sigma_k3
 from . import wps
 
 _DATA_RESOURCE = "realization_table.txt"
@@ -47,6 +47,9 @@ class CatalogRow:
         self.validate()
 
     def validate(self) -> None:
+        _require_ints("weights", *self.weights)
+        _require_ints("degrees", *self.degrees)
+        _require_ints("sigma", self.sigma)
         if any(w < 1 for w in self.weights):
             raise InvariantViolation(f"{self.name}: weights must be positive")
         if any(d < 1 for d in self.degrees):

@@ -6,10 +6,10 @@ well-formedness and quasismoothness tests.  One serial loop takes the
 weights from the vertex linking conditions: a3 from the few values that
 link P_3, a2 from the few that can link P_2 (at most eleven closed-form
 values up to a0+a1, and four above it), a1 from the 34 ratios a1/a0 that
-can link P_1, and a0 <= 7, so the work is bounded for every weight bound.
-It skips a triple whose three weights share a factor, tests P_0, P_1 and
-P_2 before any filter runs, and emits families in canonical order.  It
-runs once per process, at 147, and every weight bound filters that list.
+can link P_1, and a0 <= 7, so the candidate set is finite.  It skips a
+triple whose three weights share a factor, tests P_0, P_1 and P_2 before
+any filter runs, and emits families in canonical order.  It runs once per
+process, and every weight bound filters its list.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .ade import ADE_TYPES, EXCEPTIONAL_CURVE_BOUND, ADEType, Basket, BoundViolation, sigma_k3
+from .ade import (
+    ADE_TYPES, EXCEPTIONAL_CURVE_BOUND, ADEType, Basket, BoundViolation, _require_ints, sigma_k3,
+)
 from .catalog import CatalogRow
 from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
 
@@ -36,19 +38,13 @@ _RATIOS = (
 _MAX_A0 = 7  # the largest a0 of a linked, well-formed quadruple; proof below
 
 
-def _require_ints(**values: object) -> None:
-    for name, value in values.items():
-        if type(value) is not int:  # not 60.0 or True, as for `Weights`
-            raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def enumerate_baskets(max_total_d: int) -> list[tuple[Basket, int]]:
     """All du Val baskets with at most max_total_d exceptional curves.
 
     Multisets are emitted in canonical (lexicographic) order together with
     their K3 signatures.
     """
-    _require_ints(max_total_d=max_total_d)
+    _require_ints("max_total_d", max_total_d)
     if max_total_d < 0:
         raise ValueError(f"max_total_d must be >= 0, got {max_total_d}")
     if max_total_d > EXCEPTIONAL_CURVE_BOUND:
@@ -84,8 +80,8 @@ class K3Family:
         return CatalogRow(str(f), f.weights.a, (f.degree,), self.basket, self.sigma)
 
 
-def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
-    """The a3 in [a2, max_weight] that can pass the vertex linking test.
+def _largest_weights(a0: int, a1: int, a2: int) -> list[int]:
+    """The a3 >= a2 that can pass the vertex linking test.
 
     The linking condition at P_3 needs a3 | d or a3 | d - a_j for some
     j < 3 (`quasismooth`'s `d in a` shortcut never fires, since
@@ -102,8 +98,7 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
     and every candidate satisfies the condition at P_3.  They come out
     ascending as a2 <= s/2 <= a0+a1 <= a0+a2 <= a1+a2 <= s (a2 only when
     a1 = a2, s/2 only when s is even, and the first three only when
-    a0+a1 >= a2), with equal neighbours dropped and the list cut at the
-    first value above max_weight.
+    a0+a1 >= a2), with equal neighbours dropped.
     """
     s = a0 + a1 + a2
     low = (
@@ -112,16 +107,14 @@ def _largest_weights(a0: int, a1: int, a2: int, max_weight: int) -> list[int]:
     )
     found: list[int] = []
     for n in (*low, a0 + a2, a1 + a2, s):
-        if n > max_weight:
-            break
         if n and (not found or n > found[-1]):
             found.append(n)
     return found
 
 
-def _middle_weights(a0: int, a1: int, max_weight: int) -> list[int]:
-    """The a2 in [a1, max_weight] that can link P_2, ascending; the proof is
-    in `enumerate_k3_hypersurfaces`."""
+def _middle_weights(a0: int, a1: int) -> list[int]:
+    """The a2 >= a1 that can link P_2, ascending; the proof is in
+    `enumerate_k3_hypersurfaces`."""
     p = a0 + a1
     found = [a1, p, 2 * a0, 2 * a0 + a1, a0 + 2 * a1, 2 * a1, 2 * p]
     if p % 2 == 0:
@@ -140,7 +133,7 @@ def _middle_weights(a0: int, a1: int, max_weight: int) -> list[int]:
         found.append(a0 + a1 // 2)
     if a1 % 3 == 0:
         found.append(a0 + a1 // 3)
-    return sorted({n for n in found if a1 <= n <= max_weight})
+    return sorted({n for n in found if n >= a1})
 
 
 def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
@@ -191,11 +184,11 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     and v, the weights are integers iff D | a0, and their gcd is then a0/D,
     so a well-formed quadruple has a0 = D.  The shapes linked at all four
     vertices give the 95 families (tests/test_search.py), with a0 in {1, 2,
-    3, 4, 5, 7}, a3 <= 33, all quasismooth.  The sweep visits <= 70 pairs
-    (a0, a1); as a3 <= s <= 3*(a0+a1), its candidates are fixed for W >= 147.
-    So it runs once, at 147, and W keeps the families with a3 <= W in order.
+    3, 4, 5, 7}, a3 <= 33, all quasismooth.  So the candidate set is finite
+    (a0 <= 7, a1 <= 6*a0, a2 <= 2*(a0+a1), a3 <= s): it is swept once per
+    process, and W keeps the families with a3 <= W in order.
     """
-    _require_ints(max_weight=max_weight)
+    _require_ints("max_weight", max_weight)
     if max_weight < 1:
         raise ValueError(f"max_weight must be >= 1, got {max_weight}")
     return [f for f in _k3_families() if f.family.weights.a[3] <= max_weight]
@@ -203,26 +196,19 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
 
 @lru_cache(maxsize=1)
 def _k3_families() -> tuple[K3Family, ...]:
-    """The sweep at 147 = 3*(7 + 6*7), from `_MAX_A0` and a1 <= 6*a0 (`_RATIOS`)."""
-    return tuple(_sweep(147))
-
-
-def _sweep(max_weight: int) -> list[K3Family]:
-    """The families with weights <= max_weight, by the rules above."""
+    """Every weighted K3 hypersurface family, by the rules above."""
     families: list[K3Family] = []
-    for a0 in range(1, min(max_weight, _MAX_A0) + 1):
+    for a0 in range(1, _MAX_A0 + 1):
         for n, m in _RATIOS:
             if a0 % m:
                 continue
             a1 = a0 // m * n
-            if a1 > max_weight:
-                break
             g = gcd(a0, a1)
-            for a2 in _middle_weights(a0, a1, max_weight):
+            for a2 in _middle_weights(a0, a1):
                 if g > 1 and gcd(g, a2) > 1:
                     continue  # (a0, a1, a2) share a factor: not well-formed
                 s = a0 + a1 + a2
-                for a3 in _largest_weights(a0, a1, a2, max_weight):
+                for a3 in _largest_weights(a0, a1, a2):
                     d = s + a3  # d - a3 = s
                     if (
                         d % a0 and (d - a1) % a0 and (d - a2) % a0 and s % a0
@@ -238,12 +224,12 @@ def _sweep(max_weight: int) -> list[K3Family]:
                         continue
                     b = basket(f)
                     families.append(K3Family(f, b, sigma_k3(b)))
-    return families
+    return tuple(families)
 
 
 def find_signature(target: int, max_weight: int) -> list[K3Family]:
     """Families whose general member realizes the target signature."""
-    _require_ints(target=target)
+    _require_ints("target", target)
     return [f for f in enumerate_k3_hypersurfaces(max_weight) if f.sigma == target]
 
 
@@ -259,7 +245,7 @@ def stabilized_enumeration(
     every W' <= W with a3 <= W', so the counts at W - step and W - 2*step
     both equal its own iff every family at W has a3 <= W - 2*step.
     """
-    _require_ints(start=start, step=step)
+    _require_ints("start and step", start, step)
     if start < 1 or step < 1:
         raise ValueError(f"need start >= 1 and step >= 1, got {start}, {step}")
     bound = start + 2 * step

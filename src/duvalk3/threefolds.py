@@ -14,7 +14,7 @@ from functools import lru_cache
 # the K3 surface facts live in ade; threefolds re-exports them
 from .ade import (
     EXCEPTIONAL_CURVE_BOUND, K3_H11, K3_H20, ADEType, Basket, BoundViolation,
-    _check_curve_bound, form_signature, plumbing_form, sigma_k3,
+    _check_curve_bound, _require_ints, form_signature, plumbing_form, sigma_k3,
     signature_from_hodge, smooth_k3_signature, standard_dynkin_graph,
 )
 from .homology import (
@@ -58,8 +58,7 @@ class KawamataDiagram:
     fiber: SurfaceModel | None = None
 
     def __post_init__(self) -> None:
-        if type(self.q) is not int or type(self.cover_degree) is not int:  # not 2.0 or True
-            raise ValueError(f"q and cover degree must be ints: {self.q!r}, {self.cover_degree!r}")
+        _require_ints("q and cover degree", self.q, self.cover_degree)
         if self.q not in (1, 2, 3):
             raise ValueError(f"3-fold irregularity must be 1, 2 or 3, got {self.q}")
         if self.cover_degree < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import gcd
 
-from .ade import ADEType, Basket, repeated
+from .ade import ADEType, Basket, _require_ints, repeated
 
 
 class NotDuVal(ValueError):
@@ -34,8 +34,7 @@ class Weights:
     def __post_init__(self) -> None:
         if len(self.a) != 4:
             raise ValueError("exactly four weights required")
-        if set(map(type, self.a)) != {int}:  # not 4.0 or True, as for an ADE rank
-            raise ValueError(f"weights must be ints, got {self.a}")
+        _require_ints("weights", *self.a)
         if any(x < 1 for x in self.a):
             raise ValueError(f"weights must be positive, got {self.a}")
         object.__setattr__(self, "a", tuple(sorted(self.a)))
@@ -52,8 +51,7 @@ class HypersurfaceFamily:
     degree: int
 
     def __post_init__(self) -> None:
-        if type(self.degree) is not int:
-            raise ValueError(f"degree must be an int, got {self.degree!r}")
+        _require_ints("degree", self.degree)
         if self.degree < 1:
             raise ValueError(f"degree must be positive, got {self.degree}")
 

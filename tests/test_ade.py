@@ -139,7 +139,7 @@ class TestInternedTypes:
 
     @pytest.mark.parametrize("rank", [3.0, True, False, "3", None, 2.5])
     def test_rank_must_be_an_int(self, rank):
-        with pytest.raises(ValueError, match="is not an int"):
+        with pytest.raises(ValueError, match="^rank must be an int, got "):
             ADEType("A", rank)
 
     @pytest.mark.parametrize("kind", [1, None, b"A", ["A"], ("A",)])

@@ -169,3 +169,17 @@ class TestRowConstruction:
         with pytest.raises(InvariantViolation) as loaded:
             load_catalog(line + "\n")
         assert str(built.value) == str(loaded.value) == message
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param(("F_4", (1, 1, 1, 1), (4,), "-", -16.0), id="sigma_float"),
+        pytest.param(("F_4", (1, 1, 1, 1), (4,), "A_17", True), id="sigma_bool"),
+        pytest.param(("F_4", (1, 1, 1, 1.0), (4,), "-", -16), id="weight_float"),
+        pytest.param(("F_{4,4}", (1, 1, 2, 2, 2), (4.0, 4), "4A_1", -12),
+                     id="codim_2_degree_float"),
+    ])
+    def test_non_int_field_cannot_be_built(self, fields):
+        # each used to build: a sigma of -16.0 or True was printed as it was,
+        # and the codim-2 row with degrees (4.0, 4) verified ok
+        name, weights, degrees, tokens, sigma = fields
+        with pytest.raises(ValueError, match=r"^(weights|degrees|sigma) must be (an int|ints), got "):
+            CatalogRow(name, weights, degrees, Basket.parse(tokens), sigma)

@@ -1,13 +1,14 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, lcm
 
 import pytest
 
 from duvalk3 import search
-from duvalk3.ade import ADEType, Basket, BoundViolation, sigma_k3
-from duvalk3.catalog import embedded_catalog
+from duvalk3.ade import ADEType, Basket, BoundViolation, SymIntForm, sigma_k3
+from duvalk3.catalog import CatalogRow, embedded_catalog
 from duvalk3.search import (
     _largest_weights,
     _middle_weights,
@@ -16,6 +17,7 @@ from duvalk3.search import (
     find_signature,
     stabilized_enumeration,
 )
+from duvalk3.threefolds import KawamataDiagram
 from duvalk3.wps import (
     HypersurfaceFamily,
     Weights,
@@ -54,27 +56,91 @@ def family_keys(families):
             for f in families]
 
 
+ORACLE_BOUND = 33  # the largest weight among the 95 families
+
+
+@lru_cache(maxsize=1)
+def oracle_keys():
+    """Every ascending quadruple with weights <= ORACLE_BOUND that passes
+    `well_formed` and `quasismooth`, with no pruning of any weight."""
+    expected = []
+    for a in itertools.combinations_with_replacement(range(1, ORACLE_BOUND + 1), 4):
+        w = Weights(a)
+        if not well_formed(w):
+            continue
+        f = HypersurfaceFamily.k3(w)
+        if not quasismooth(f):
+            continue
+        b = basket(f)
+        expected.append((a, f.degree, b.tokens(), sigma_k3(b)))
+    return expected
+
+
+def oracle_at(max_weight):
+    """The oracle's families with weights <= max_weight, in its order."""
+    return [k for k in oracle_keys() if k[0][3] <= max_weight]
+
+
+def guard_sites(x):
+    """A call through each site of the not-an-int guard, with x in one int
+    argument; every call is valid at x = 2."""
+    return [
+        (ADEType, ("A", x)),
+        (SymIntForm, (((x, 1), (1, x)),)),
+        (Weights, ((1, 1, 2, x),)),
+        (HypersurfaceFamily, (Weights((1, 1, 1, 1)), x)),
+        (KawamataDiagram, (x, 1)),
+        (KawamataDiagram, (2, x)),
+        (CatalogRow, ("F", (1, 1, 2, x), (6,), Basket(), -16)),
+        (CatalogRow, ("F", (1, 1, 1, 1, 2), (x, 4), Basket(), -16)),
+        (CatalogRow, ("F", (1, 1, 1, 1), (4,), Basket.parse("A_18"), x)),
+        (enumerate_baskets, (x,)),
+        (enumerate_k3_hypersurfaces, (x,)),
+        (find_signature, (x, 60)),
+        (find_signature, (3, x)),
+        (stabilized_enumeration, (x, 10)),
+        (stabilized_enumeration, (40, x)),
+    ]
+
+
+REFUSED = [
+    (enumerate_k3_hypersurfaces, (60.0,)),
+    (enumerate_k3_hypersurfaces, (True,)),
+    (stabilized_enumeration, (40, 10.5)),
+    (stabilized_enumeration, (40.0, 10)),
+    (stabilized_enumeration, (True, 10)),
+    (enumerate_baskets, (3.5,)),
+    (enumerate_baskets, (True,)),
+    (find_signature, (True, 60)),
+    (find_signature, (3.0, 60)),
+    (find_signature, (3, 60.0)),
+]
+# True, 2.0 and Fraction(2) at every guard site; 2.0 == Fraction(2), so
+# cases already listed are dropped by their id, not by equality
+_LISTED = {(fn, repr(args)) for fn, args in REFUSED}
+REFUSED += [
+    (fn, args) for x in (True, 2.0, Fraction(2)) for fn, args in guard_sites(x)
+    if (fn, repr(args)) not in _LISTED
+]
+
+
 @pytest.mark.parametrize(
     ("fn", "args"),
-    [
-        (enumerate_k3_hypersurfaces, (60.0,)),
-        (enumerate_k3_hypersurfaces, (True,)),
-        (stabilized_enumeration, (40, 10.5)),
-        (stabilized_enumeration, (40.0, 10)),
-        (stabilized_enumeration, (True, 10)),
-        (enumerate_baskets, (3.5,)),
-        (enumerate_baskets, (True,)),
-        (find_signature, (True, 60)),
-        (find_signature, (3.0, 60)),
-        (find_signature, (3, 60.0)),
-    ],
+    REFUSED,
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )
 def test_refuses_non_int_bounds_and_targets(fn, args):
     # each used to return a plausible wrong answer: 60.0 gave the 95
     # families, 3.5 seven baskets, and True counted as 1, so that
-    # find_signature(True, 60) gave the sigma = 1 family
-    with pytest.raises(ValueError, match="must be an int"):
+    # find_signature(True, 60) gave the sigma = 1 family; a CatalogRow
+    # printed a sigma of -16.0 or True as it was
+    with pytest.raises(ValueError, match=r"must be (an int|ints), got "):
+        fn(*args)
+
+
+def test_guard_sites_accept_the_int_two():
+    # the refusals above are about the type: the same calls with 2 succeed
+    for fn, args in guard_sites(2):
         fn(*args)
 
 
@@ -151,22 +217,10 @@ class TestEnumerateK3Hypersurfaces:
         assert weights == sorted(weights)
 
     def test_pruned_sweep_matches_brute_force_oracle(self):
-        # every ascending quadruple, with no pruning of the largest weight
-        expected = []
-        for a in itertools.combinations_with_replacement(range(1, 25), 4):
-            w = Weights(a)
-            if not well_formed(w):
-                continue
-            f = HypersurfaceFamily.k3(w)
-            if not quasismooth(f):
-                continue
-            b = basket(f)
-            expected.append((a, f.degree, b, sigma_k3(b)))
-        got = [
-            (fam.family.weights.a, fam.family.degree, fam.basket, fam.sigma)
-            for fam in enumerate_k3_hypersurfaces(24)
-        ]
-        assert got == expected
+        # every ascending quadruple up to 33 holds all 95 families
+        got = family_keys(enumerate_k3_hypersurfaces(ORACLE_BOUND))
+        assert got == oracle_keys()
+        assert len(got) == 95
 
     def test_filters_see_only_linked_quadruples(self, counted):
         # the linking conditions choose a1, a2 and a3, a triple sharing a
@@ -185,10 +239,12 @@ class TestEnumerateK3Hypersurfaces:
         assert calls == expected
 
     def test_filtered_list_matches_the_sweep_at_every_bound(self):
+        # below 33 each bound keeps the oracle's families up to it; past 33
+        # every bound gives the list at 33
         for w in (*range(1, 161), 200, 300, 1000, 10**9):
-            assert family_keys(enumerate_k3_hypersurfaces(w)) == family_keys(
-                search._sweep(w)
-            ), w
+            assert family_keys(enumerate_k3_hypersurfaces(w)) == oracle_at(w), w
+        for w in (34, 60, 300, 10**9):
+            assert enumerate_k3_hypersurfaces(w) == enumerate_k3_hypersurfaces(33), w
 
     def test_p2_unlinked_beyond_the_lemma_values(self):
         # for a2 > a0+a1 outside {2a0+a1, a0+2a1, 2a1, 2(a0+a1)} no a3 in
@@ -207,7 +263,7 @@ class TestEnumerateK3Hypersurfaces:
         # all four vertices, not just no _largest_weights one
         checked = 0
         for a0, a1 in itertools.combinations_with_replacement(range(1, 51), 2):
-            middle = _middle_weights(a0, a1, 50)
+            middle = [a2 for a2 in _middle_weights(a0, a1) if a2 <= 50]
             assert middle == sorted(set(middle)), (a0, a1)
             assert all(a1 <= a2 <= 50 for a2 in middle), (a0, a1)
             for a2 in range(a1, min(a0 + a1, 50) + 1):
@@ -250,8 +306,10 @@ class TestEnumerateK3Hypersurfaces:
             )
 
         for a0, a1, a2 in itertools.combinations_with_replacement(range(1, 41), 3):
-            for max_weight in (a2, 40, 80):
-                assert _largest_weights(a0, a1, a2, max_weight) == divisor_set(
+            largest = _largest_weights(a0, a1, a2)
+            # a3 <= s = a0+a1+a2, so the bound s leaves the list whole
+            for max_weight in (a2, 40, 80, a0 + a1 + a2):
+                assert [a3 for a3 in largest if a3 <= max_weight] == divisor_set(
                     a0, a1, a2, max_weight
                 ), (a0, a1, a2, max_weight)
 
@@ -272,8 +330,10 @@ class TestEnumerateK3Hypersurfaces:
             return sorted(found)
 
         for a0, a1 in itertools.combinations_with_replacement(range(1, 151), 2):
-            for max_weight in (a1, 60, 150):
-                assert _middle_weights(a0, a1, max_weight) == divisor_set(
+            middle = _middle_weights(a0, a1)
+            # a2 <= 2*(a0+a1), so that bound leaves the list whole
+            for max_weight in (a1, 60, 150, 2 * (a0 + a1)):
+                assert [a2 for a2 in middle if a2 <= max_weight] == divisor_set(
                     a0, a1, max_weight
                 ), (a0, a1, max_weight)
 
@@ -343,8 +403,8 @@ class TestRatioTable:
         ratios = {Fraction(n, m) for n, m in search._RATIOS}
         seen = set()
         for a0, a1 in itertools.combinations_with_replacement(range(1, 101), 2):
-            for a2 in _middle_weights(a0, a1, 100):
-                for a3 in _largest_weights(a0, a1, a2, 100):
+            for a2 in [a2 for a2 in _middle_weights(a0, a1) if a2 <= 100]:
+                for a3 in [a3 for a3 in _largest_weights(a0, a1, a2) if a3 <= 100]:
                     a = (a0, a1, a2, a3)
                     if _vertices_linked(a, sum(a)) and well_formed(Weights(a)):
                         assert Fraction(a1, a0) in ratios, a
@@ -400,15 +460,16 @@ class TestFindSignature:
 class TestStabilizedEnumeration:
     @staticmethod
     def bound_by_bound(start, step):
-        # one sweep per bound, until two raises leave the count unchanged
-        families = search._sweep(start)
+        # the oracle's list at each bound, until two raises leave the count
+        # unchanged
+        families = oracle_at(start)
         bound, unchanged = start, 0
         while unchanged < 2:
             bound += step
-            more = search._sweep(bound)
+            more = oracle_at(bound)
             unchanged = unchanged + 1 if len(more) == len(families) else 0
             families = more
-        return family_keys(families), bound
+        return families, bound
 
     def test_matches_bound_by_bound_loop(self):
         pinned = {(40, 10): (60, 95), (1, 1): (29, 94), (5, 3): (41, 95),
