@@ -47,6 +47,10 @@ class CatalogRow:
         self.validate()
 
     def validate(self) -> None:
+        name = self.name  # a name that a catalog line reads back as written
+        if name.splitlines() != [name] or name != name.strip() or "|" in name or name[0] == "#":
+            raise InvariantViolation(f"name {name!r} must be one non-empty line with no "
+                                     "'|', no leading '#' and no surrounding whitespace")
         _require_ints("weights", *self.weights)
         _require_ints("degrees", *self.degrees)
         _require_ints("sigma", self.sigma)
@@ -112,8 +116,6 @@ def load_catalog(source: str) -> list[CatalogRow]:
         if len(fields) != 5:
             raise ParseError(line_no, f"expected 5 fields, found {len(fields)}")
         name, weights_text, degrees_text, basket_text, sigma_text = fields
-        if not name:
-            raise ParseError(line_no, "empty name")
         weights = _parse_ints(weights_text, line_no, "weights")
         degrees = _parse_ints(degrees_text, line_no, "degrees")
         try:

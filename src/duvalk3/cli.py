@@ -117,7 +117,7 @@ def _cmd_table_verify(args: argparse.Namespace) -> int:
         rows = embedded_catalog()
     else:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 rows = load_catalog(fh.read())
         except OSError as exc:
             print(f"cannot open catalog: {exc}", file=sys.stderr)

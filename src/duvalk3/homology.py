@@ -1,17 +1,20 @@
 """A formal graded homology-class calculus over exact rationals.
 
 Classes are rational linear combinations of named generators attached to a
-labeled space.  Covering maps carry explicit pushforward and transfer
-tables; products, pushforwards and transfers are their bilinear/linear
-extensions.  Nothing is computed from chain complexes: the generators and
-their images are declared per scenario.
+labeled space.  Coefficients and scale factors are ints or Fractions; any
+other number is refused, never converted.  Covering maps have an int degree
+and explicit pushforward and transfer tables; products, pushforwards and
+transfers are their bilinear/linear extensions.  Nothing is computed from
+chain complexes: the generators and their images are declared per scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
+
+from .ade import _require_ints
 
 Scalar = Union[int, Fraction]
 
@@ -57,8 +60,8 @@ class FormalClass:
     """A rational linear combination of generators on one common space.
 
     Instances are immutable values: arithmetic returns new objects, zero
-    coefficients are never stored, the constructor stores integral ones as
-    int and the rest as Fraction, and equality is exact and term-wise.
+    coefficients are never stored, the constructor takes ints and Fractions
+    only and stores integral ones as int, and equality is exact and term-wise.
     """
 
     __slots__ = ("_terms",)
@@ -68,7 +71,9 @@ class FormalClass:
         space = None
         for gen, c in terms.items():
             if type(c) is not int:
-                c = c if type(c) is Fraction else Fraction(c)
+                if type(c) is not Fraction:
+                    raise ValueError(f"coefficient of {gen.label} must be an int "
+                                     f"or a Fraction, got {c!r}")
                 c = c.numerator if c.denominator == 1 else c
             if not c:
                 continue
@@ -106,8 +111,8 @@ class FormalClass:
         return FormalClass(acc)
 
     def scale(self, factor: Scalar) -> "FormalClass":
-        if type(factor) not in (int, Fraction):  # a float times a Fraction rounds
-            factor = Fraction(factor)
+        if type(factor) not in (int, Fraction):
+            raise ValueError(f"scale factor must be an int or a Fraction, got {factor!r}")
         return FormalClass({g: factor * c for g, c in self._terms.items()})
 
     __rmul__ = scale
@@ -191,10 +196,11 @@ class CoveringMap:
     source: SpaceLabel
     target: SpaceLabel
     degree: int
-    pushforward_table: Mapping[Generator, FormalClass] = field(default_factory=dict)
-    transfer_table: Mapping[Generator, FormalClass] = field(default_factory=dict)
+    pushforward_table: Mapping[Generator, FormalClass]
+    transfer_table: Mapping[Generator, FormalClass]
 
     def __post_init__(self) -> None:
+        _require_ints("covering degree", self.degree)
         if self.degree < 1:
             raise ValueError(f"covering degree must be >= 1, got {self.degree}")
         if self.source.dim != self.target.dim:

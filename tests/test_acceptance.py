@@ -31,15 +31,13 @@ from duvalk3.search import enumerate_baskets
 from duvalk3.threefolds import (
     KawamataDiagram,
     SurfaceModel,
-    bsy_check,
     kawamata_cover,
     sigma_k3,
     t1_surface,
     threefold_lclass,
 )
+from criteria import BSY_SWEEP, FLETCHER_BOUND, bsy_sweep
 from sturm_oracle import signature_oracle
-
-FLETCHER_BOUND = 19
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -154,36 +152,9 @@ def test_criterion_4_hodge_equals_topological_surfaces(all_baskets):
 
 
 def test_criterion_5_bsy_threefolds(all_baskets):
-    start = time.perf_counter()
-    checked = 0
-    ok = True
-    x_space = SpaceLabel("X", 6)
-    mid = Generator("p_*[pt_F×E]", 2, x_space)
-    for degree in range(1, 9):
-        for basket, sigma in all_baskets:
-            result = bsy_check(KawamataDiagram(1, degree, SurfaceModel(basket)))
-            checked += 1
-            if not result.passed:
-                ok = False
-                break
-            if result.hodge_route.coefficient(mid) != Fraction(sigma, degree):
-                ok = False
-                break
-        for q in (2, 3):
-            result = bsy_check(KawamataDiagram(q, degree))
-            checked += 1
-            if not (result.passed and result.hodge_route == fundamental_class(x_space)):
-                ok = False
-        if not ok:
-            break
-    elapsed = time.perf_counter() - start
+    ok, checked, elapsed = bsy_sweep(all_baskets)
     ok = ok and elapsed < 10.0
-    report(
-        5,
-        "BSY equality on 3-folds (q in 1..3, d in 1..8)",
-        ok,
-        f"{checked} checks, {elapsed:.2f}s",
-    )
+    report(5, BSY_SWEEP, ok, f"{checked} checks, {elapsed:.2f}s")
 
 
 def _random_cover(rng: random.Random) -> tuple[CoveringMap, FormalClass]:

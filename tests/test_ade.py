@@ -309,6 +309,11 @@ class TestFormSignature:
         with pytest.raises(ValueError):
             SymIntForm(((0, 1), (2, 0)))
 
+    def test_rejects_non_square(self):
+        for entries in (((0, 1),), ((0, 1), (1,))):
+            with pytest.raises(ValueError, match=r"^matrix is not square$"):
+                SymIntForm(entries)
+
     @pytest.mark.parametrize("x", [0.5, 2.0, Fraction(1, 2), Fraction(2), True])
     def test_rejects_non_int_entries(self, x):
         with pytest.raises(ValueError, match="ints"):

@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duvalk3.ade import Basket
 from duvalk3.catalog import (
@@ -153,7 +154,13 @@ INCONSISTENT_ROWS = [
                  "X: sigma -15 != -16 + total_d = -16", id="sigma"),
     pytest.param(("X", (2, 5, 6, 7), (20,), "4A_5", 4),
                  "X: basket exceeds 19 curves", id="twenty_curves"),
+    pytest.param(("", (1, 1, 1, 1), (4,), "-", -16),
+                 "name '' must be one non-empty line with no '|', no leading '#' "
+                 "and no surrounding whitespace", id="empty_name"),
 ]
+
+# characters that a catalog line splits on, strips or reads as a comment
+_LINE_SYNTAX = " \t\n\r\x0b\x0c\x1c\x85\u2028|#"
 
 
 class TestRowConstruction:
@@ -183,3 +190,21 @@ class TestRowConstruction:
         name, weights, degrees, tokens, sigma = fields
         with pytest.raises(ValueError, match=r"^(weights|degrees|sigma) must be (an int|ints), got "):
             CatalogRow(name, weights, degrees, Basket.parse(tokens), sigma)
+
+    @pytest.mark.parametrize("name", [
+        "", "  ", "a|b", "F\n4", "F_4\r", "F\u20284", " F_6 ", "F_6\t", "# x", "#",
+    ])
+    def test_name_no_line_reads_back_cannot_be_built(self, name):
+        # each used to build a row that format() wrote and load_catalog
+        # refused, split, stripped or skipped as a comment
+        with pytest.raises(InvariantViolation, match=r"^name .* must be one non-empty line"):
+            CatalogRow(name, (1, 1, 1, 1), (4,), Basket(), -16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from(_LINE_SYNTAX), st.characters()), max_size=6))
+    def test_every_name_is_refused_or_round_trips(self, name):
+        try:
+            row = CatalogRow(name, (1, 1, 1, 1), (4,), Basket(), -16)
+        except InvariantViolation:
+            return
+        assert load_catalog(row.format()) == [row]

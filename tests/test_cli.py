@@ -180,6 +180,20 @@ class TestTableVerify:
         assert err.startswith("catalog error: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(("first_line", "verified"), [
+        ("# a comment", "ok        F_5\n"),
+        ("F_4 | 1,1,1,1 | 4 | - | -16", "ok        F_4\nok        F_5\n"),
+    ])
+    def test_byte_order_mark_is_not_text(self, capsys, tmp_path, first_line, verified):
+        # read as utf-8, the mark made a leading comment a one-field row
+        # (exit 65) and a leading row verify under the name '\ufeffF_4'
+        fixture = tmp_path / "bom.txt"
+        fixture.write_text(first_line + "\nF_5 | 1,1,1,2 | 5 | A_1 | -15\n", encoding="utf-8-sig")
+        assert fixture.read_bytes().startswith(b"\xef\xbb\xbf")
+        code, out, err = run(capsys, "table", "verify", "--catalog", str(fixture))
+        assert (code, err) == (EX_OK, "")
+        assert out.startswith(verified) and "\ufeff" not in out
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not a row\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -66,8 +67,27 @@ class TestFormalClass:
         assert {str(c) for c in classes} == {"3·pt"}
         assert all(type(c.coefficient(g)) is int for c in classes)
         assert type(FormalClass({g: Fraction(1, 2)}).scale(2).coefficient(g)) is int
-        assert FormalClass({g: 0.5}).coefficient(g) == Fraction(1, 2)
-        assert FormalClass({g: Fraction(1, 3)}).scale(0.5).coefficient(g) == Fraction(1, 6)
+        with pytest.raises(ValueError, match=r"^coefficient of pt must be an int or a Fraction, got 0\.5$"):
+            FormalClass({g: 0.5})
+        with pytest.raises(ValueError, match=r"^scale factor must be an int or a Fraction, got 0\.5$"):
+            FormalClass({g: Fraction(1, 3)}).scale(0.5)
+
+    @pytest.mark.parametrize("c", [True, 0.5, 0.1, 0.0, Decimal("0.1"), "1/3"], ids=repr)
+    def test_inexact_coefficients_refused(self, c):
+        # 0.1 used to become 3602879701896397/36028797018963968, "1/3" was
+        # parsed and True counted as 1
+        g = gen("pt", 0, F)
+        with pytest.raises(ValueError, match=r"^coefficient of pt must be an int or a Fraction, got "):
+            FormalClass({g: c})
+        with pytest.raises(ValueError, match=r"^scale factor must be an int or a Fraction, got "):
+            FormalClass({g: 1}).scale(c)
+        with pytest.raises(ValueError, match=r"^scale factor must be an int or a Fraction, got "):
+            c * FormalClass()
+
+    def test_str_of_zero_and_of_minus_one(self):
+        assert str(FormalClass()) == "0"
+        c = FormalClass({gen("pt", 0, F): -1, gen("[F]", 4, F): -1})
+        assert str(c) == "-pt - [F]"
 
     def test_str_uses_lowest_terms(self):
         c = FormalClass({gen("p_*[pt_F×E]", 2, X): Fraction(-11, 2), gen("[X]", 6, X): 1})
@@ -193,8 +213,10 @@ class TestCoveringMap:
             transfer(p, FormalClass({gen("mystery", 2, X): 1}))
 
     def test_wrong_space_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^class lives on X, not on F×E$"):
             pushforward(make_cover(), fundamental_class(X))
+        with pytest.raises(ValueError, match=r"^class lives on F×E, not on X$"):
+            transfer(make_cover(), fundamental_class(product_space(F, E)))
 
     def test_inconsistent_transfer_table_rejected(self):
         fe = product_space(F, E)
@@ -208,3 +230,45 @@ class TestCoveringMap:
                 pushforward_table={fund: FormalClass({fund_x: 3})},
                 transfer_table={fund_x: FormalClass({fund: 2})},  # gives 6, not 3
             )
+
+
+_T, _B = SpaceLabel("T", 4), SpaceLabel("B", 4)
+_LIFT, _FUND = gen("[T]", 4, _T), gen("[B]", 4, _B)
+
+
+def _cover_args(**changes):
+    """Arguments of a valid degree-2 cover T -> B of surfaces, with changes."""
+    args = dict(source=_T, target=_B, degree=2,
+                pushforward_table={_LIFT: FormalClass({_FUND: 2})},
+                transfer_table={_FUND: FormalClass({_LIFT: 1})})
+    args.update(changes)
+    return args
+
+
+class TestCoveringMapConstruction:
+    def test_valid_cover_builds(self):
+        assert CoveringMap(**_cover_args()).degree == 2
+
+    @pytest.mark.parametrize("degree", [2.5, Fraction(5, 2)], ids=repr)
+    def test_degree_must_be_an_int(self, degree):
+        # a degree of 2.5 used to pass the p_* p_! = d check; True, 2.0 and
+        # Fraction(2) are refused at every guard site in test_search.py
+        with pytest.raises(ValueError, match=r"^covering degree must be an int, got "):
+            CoveringMap(**_cover_args(degree=degree))
+
+    @pytest.mark.parametrize(("changes", "error", "message"), [
+        pytest.param({"degree": 0}, ValueError, r"^covering degree must be >= 1, got 0$",
+                     id="degree_0"),
+        pytest.param({"target": SpaceLabel("B", 2)}, DimensionMismatch,
+                     r"^a covering map preserves dimension$", id="dimensions"),
+        pytest.param({"pushforward_table": {_FUND: FormalClass({_FUND: 2})}},
+                     ValueError, r"^table key \[B\] not on T$", id="key_off_space"),
+        pytest.param({"pushforward_table": {_LIFT: FormalClass({_LIFT: 2})}},
+                     ValueError, r"^table image of \[T\] not on B$", id="image_off_space"),
+        pytest.param({"transfer_table": {_FUND: FormalClass({gen("pt", 0, _T): 1})}},
+                     DimensionMismatch, r"^table image of \[B\] is not degree-preserving$",
+                     id="image_of_another_degree"),
+    ])
+    def test_construction_checks(self, changes, error, message):
+        with pytest.raises(error, match=message):
+            CoveringMap(**_cover_args(**changes))

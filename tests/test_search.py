@@ -9,6 +9,7 @@ import pytest
 from duvalk3 import search
 from duvalk3.ade import ADEType, Basket, BoundViolation, SymIntForm, sigma_k3
 from duvalk3.catalog import CatalogRow, embedded_catalog
+from duvalk3.homology import CoveringMap, FormalClass, Generator, SpaceLabel
 from duvalk3.search import (
     _largest_weights,
     _middle_weights,
@@ -81,10 +82,16 @@ def oracle_at(max_weight):
     return [k for k in oracle_keys() if k[0][3] <= max_weight]
 
 
+_T, _B = SpaceLabel("T", 2), SpaceLabel("B", 2)
+_LIFT, _FUND = Generator("[T]", 2, _T), Generator("[B]", 2, _B)
+
+
 def guard_sites(x):
     """A call through each site of the not-an-int guard, with x in one int
     argument; every call is valid at x = 2."""
     return [
+        (CoveringMap, (_T, _B, x, {_LIFT: FormalClass({_FUND: 2})},
+                       {_FUND: FormalClass({_LIFT: 1})})),
         (ADEType, ("A", x)),
         (SymIntForm, (((x, 1), (1, x)),)),
         (Weights, ((1, 1, 2, x),)),
@@ -195,6 +202,11 @@ class TestEnumerateBaskets:
 
 
 class TestEnumerateK3Hypersurfaces:
+    def test_bound_below_one_rejected(self):
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match=rf"^max_weight must be >= 1, got {bound}$"):
+                enumerate_k3_hypersurfaces(bound)
+
     def test_small_bound_contains_known_rows(self):
         families = enumerate_k3_hypersurfaces(8)
         by_weights = {fam.family.weights.a: fam for fam in families}

@@ -187,6 +187,10 @@ class TestKawamataDiagram:
             with pytest.raises(ValueError, match=r"^q and cover degree must be ints"):
                 KawamataDiagram(q, degree, SurfaceModel(Basket()))
 
+    def test_cover_degree_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^cover degree must be >= 1, got 0$"):
+            KawamataDiagram(1, 0, SurfaceModel(Basket()))
+
     def test_fiber_kinds(self):
         assert KawamataDiagram(1, 1, SurfaceModel()).fiber_kind == "surface"
         assert KawamataDiagram(2, 1).fiber_kind == "curve"

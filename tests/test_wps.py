@@ -52,6 +52,11 @@ class TestWeights:
         with pytest.raises(ValueError, match=r"^degree must be an int, got 4\.0$"):
             HypersurfaceFamily(Weights((1, 1, 1, 1)), 4.0)
 
+    def test_family_rejects_non_positive_degree(self):
+        for degree in (0, -4):
+            with pytest.raises(ValueError, match=rf"^degree must be positive, got {degree}$"):
+                HypersurfaceFamily(Weights((1, 1, 1, 1)), degree)
+
 
 class TestCyclicQuotient:
     def test_residues_reduced_mod_r(self):
