@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import compress, groupby
+from operator import attrgetter
 from typing import Iterator
 
 # Construction cap for Cartan matrices / standard graphs.  The geometric
@@ -105,6 +106,7 @@ _PAIRS = [(k, r) for k in _KINDS for r in range(1, RANK_CAP + 1) if _problem(k, 
 _TYPES = {pair: _interned(*pair, key) for key, pair in enumerate(_PAIRS)}
 ADE_TYPES = tuple(_TYPES.values())  # all 128, in (kind, rank) order
 _key_of = ADEType.key.__get__  # raises TypeError on anything but an ADEType
+_rank_of = attrgetter("rank")
 
 
 def _parse_token(token: str) -> tuple[int | None, ADEType]:
@@ -136,7 +138,7 @@ class Basket:
     @property
     def total_d(self) -> int:
         """Total number of exceptional curves, the sum over all entries."""
-        return sum(t.rank for t in self.entries)
+        return sum(map(_rank_of, self.entries))
 
     def counts(self) -> list[tuple[ADEType, int]]:
         """Entries grouped as (type, multiplicity) in canonical order."""
@@ -320,58 +322,66 @@ def plumbing_form(g: DynkinGraph) -> SymIntForm:
 
 
 def _split_off(a: list[list[int]], k: int) -> list[int]:
-    """Remove row and column k from the upper triangle ``a`` in place and
+    """Remove row and column k from the lower triangle ``a`` in place and
     return column k without its diagonal entry, indexed like the rows left."""
-    v = [a[i].pop(k - i) for i in range(k)]
-    return v + a.pop(k)[1:]
+    v = a.pop(k)
+    del v[-1]
+    return v + [row.pop(k) for row in a[k:]]
 
 
 def form_signature(q: SymIntForm) -> FormSignature:
     """Exact inertia of a symmetric integer form by integer Schur complements.
 
-    Bareiss-style elimination: ``a`` is the block not yet split off and
-    ``p`` the determinant of ``q`` on the pivots taken so far (1 at the
-    start).  Invariant: every entry of ``a`` is ``p`` times the rational
-    Schur complement, i.e. a bordered minor of ``q``, so each ``//`` below
-    divides exactly (Sylvester's determinant identity) and entries stay
-    polynomially sized.  A nonzero diagonal pivot d splits off a square of
-    sign d/p; on an all-zero diagonal a nonzero entry e splits off a
-    hyperbolic plane (one positive, one negative); a zero block is the
-    radical.
+    The zero rows of ``q`` go first: each is one zero of the radical and
+    takes no part in the elimination.  On the rest, Bareiss-style
+    elimination: ``a`` is the block not yet split off and ``p`` the
+    determinant of ``q`` on the pivots taken so far (1 at the start).
+    Invariant: every entry of ``a`` is ``p`` times the rational Schur
+    complement, i.e. a bordered minor of ``q``, so each ``//`` below divides
+    exactly (Sylvester's determinant identity) and entries stay polynomially
+    sized.  A nonzero diagonal pivot d splits off a square of sign d/p; on an
+    all-zero diagonal a nonzero entry e splits off a hyperbolic plane (one
+    positive, one negative); a zero block is the rest of the radical.
 
-    The block is symmetric, so ``a`` keeps its upper triangle: ``a[i][j - i]``
-    is entry (i, j) for j >= i.  The pivot is the first nonzero diagonal
-    entry, else the first nonzero entry above the diagonal in row-major order.
+    The block is symmetric, so ``a`` keeps its lower triangle: row i holds
+    columns 0..i, the diagonal last.  The pivot is the first nonzero diagonal
+    entry, else the first nonzero entry below the diagonal in row-major order.
     """
-    a = [list(row[i:]) for i, row in enumerate(q.entries)]
+    live = list(map(any, q.entries))
+    rows = q.entries if all(live) else [
+        list(compress(row, live)) for row in compress(q.entries, live)]
+    a = [list(row[:i]) for i, row in enumerate(rows, 1)]
     p = 1
     pos = neg = 0
     while a:
-        n = len(a)
-        k = next((k for k in range(n) if a[k][0]), None)
-        if k is not None:
-            d = a[k][0]
+        for k, row in enumerate(a):
+            d = row[-1]
+            if d:
+                break
+        if d:
             if (d > 0) == (p > 0):
                 pos += 1
             else:
                 neg += 1
             v = _split_off(a, k)
-            a = [[(d * x - vi * vj) // p for x, vj in zip(row, v[i:])]
-                 for i, (row, vi) in enumerate(zip(a, v))]
+            a = [[(d * x - vi * vj) // p for x, vj in zip(row, v)] for row, vi in zip(a, v)]
             p = d
             continue
-        off = next(((r, r + j) for r in range(n) for j in range(1, n - r) if a[r][j]), None)
-        if off is None:
+        for s, row in enumerate(a):
+            if any(row):
+                break
+        else:
             break
-        r, s = off
-        e = a[r][s - r]
+        for r, e in enumerate(row):
+            if e:
+                break
         pos += 1
         neg += 1
         w = _split_off(a, s)
-        del w[r]  # entry (r, s) = e; row r goes next
+        del w[r]  # entry (s, r) = e; row r goes next
         u = _split_off(a, r)
         pp = p * p
-        a = [[e * (ui * wj + wi * uj - e * x) // pp for x, uj, wj in zip(row, u[i:], w[i:])]
-             for i, (row, ui, wi) in enumerate(zip(a, u, w))]
+        a = [[e * (ui * wj + wi * uj - e * x) // pp for x, uj, wj in zip(row, u, w)]
+             for row, ui, wi in zip(a, u, w)]
         p = -e * e // p
     return FormSignature(pos, neg, q.dim - pos - neg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 # the K3 surface facts live in ade; threefolds re-exports them
 from .ade import (
@@ -73,8 +74,7 @@ class KawamataDiagram:
         return {1: "surface", 2: "curve", 3: "point"}[self.q]
 
 
-@dataclass(frozen=True)
-class NovikovDecomposition:
+class NovikovDecomposition(NamedTuple):
     """Signature bookkeeping for the crepant resolution of a K3 surface.
 
     Tube and complement signatures add up to the smooth K3 signature;
@@ -89,6 +89,9 @@ class NovikovDecomposition:
     def sigma_surface(self) -> int:
         """Signature of the singular surface: the complement's (cones add 0)."""
         return self.sigma_complement
+
+
+_SMOOTH_K3 = smooth_k3_signature()
 
 
 @lru_cache(maxsize=None)  # bounded: ADEType admits 128 types under RANK_CAP
@@ -106,10 +109,7 @@ def novikov_assembly(b: Basket) -> NovikovDecomposition:
     """
     _check_curve_bound(b.total_d)
     tubes = tuple(map(_tube_signature, b.entries))
-    return NovikovDecomposition(
-        tube_signatures=tubes,
-        sigma_complement=smooth_k3_signature() - sum(tubes),
-    )
+    return NovikovDecomposition(tubes, _SMOOTH_K3 - sum(tubes))
 
 
 # the K3 surface F, X and the two generators of X's classes, built once

@@ -1,15 +1,18 @@
-"""Acceptance criterion 5 (BSY equality on 3-folds), without pytest.
+"""Acceptance criteria 3 (ADE tube signatures) and 5 (BSY equality on
+3-folds), without pytest.
 
     python tests/criteria.py
 
-Runs the criterion's sweep in one process: `bsy_check` for q = 1 over
-every basket of at most 19 curves and for q = 2, 3, each at cover degrees
-1 to 8, and compares the Hodge route's coefficients with the fiber
-signature over the degree.  Prints the `[criterion 5]` line with its
-seconds; exits 1 if a check fails or the sweep takes 10 s or more, else 0.
+Criterion 3 computes the exact inertia of every negated Cartan matrix up to
+rank 20 and cross-checks those up to rank 8 against the Sturm oracle.
+Criterion 5 runs `bsy_check` for q = 1 over every basket of at most 19
+curves and for q = 2, 3, each at cover degrees 1 to 8, and compares the
+Hodge route's coefficients with the fiber signature over the degree.  Each
+prints its `[criterion N]` line with its seconds; the script exits 1 if a
+check fails or a criterion takes its bound (1 s and 10 s) or more, else 0.
 Needs only the standard library and the `src/` tree, so any interpreter can
 run it before anything is installed.  `tests/test_acceptance.py` runs the
-same sweep under pytest.
+same functions under pytest.
 """
 
 import sys
@@ -20,13 +23,36 @@ from pathlib import Path
 if __name__ == "__main__":  # as a script, import the package from src/
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from duvalk3.ade import ADEType, FormSignature, cartan_matrix, form_signature  # noqa: E402
 from duvalk3.homology import Generator, SpaceLabel, fundamental_class  # noqa: E402
 from duvalk3.search import enumerate_baskets  # noqa: E402
 from duvalk3.threefolds import KawamataDiagram, SurfaceModel, bsy_check  # noqa: E402
+from sturm_oracle import signature_oracle  # noqa: E402
 
 FLETCHER_BOUND = 19
+ADE_TUBES = "ADE tube signatures (rank <= 20, Sturm cross-check <= 8)"
+ADE_TUBES_BOUND_S = 1.0
 BSY_SWEEP = "BSY equality on 3-folds (q in 1..3, d in 1..8)"
 BSY_SWEEP_BOUND_S = 10.0
+
+
+def ade_tube_signatures() -> tuple[bool, int, float]:
+    """Whether every ADE tube of rank at most 20 has inertia (0, rank, 0) and
+    those of rank at most 8 match the Sturm oracle, how many types ran, and
+    the seconds they took."""
+    start = time.perf_counter()
+    types = [ADEType("A", r) for r in range(1, 21)]
+    types += [ADEType("D", r) for r in range(4, 21)]
+    types += [ADEType("E", r) for r in (6, 7, 8)]
+    diagonalization_ok = all(
+        form_signature(-cartan_matrix(t)) == FormSignature(0, t.rank, 0) for t in types
+    )
+    oracle_ok = all(
+        signature_oracle(-cartan_matrix(t)) == form_signature(-cartan_matrix(t))
+        for t in types
+        if t.rank <= 8
+    )
+    return diagonalization_ok and oracle_ok, len(types), time.perf_counter() - start
 
 
 def bsy_sweep(all_baskets) -> tuple[bool, int, float]:
@@ -57,9 +83,16 @@ def bsy_sweep(all_baskets) -> tuple[bool, int, float]:
     return ok, checked, time.perf_counter() - start
 
 
+def _line(number: int, name: str, ok: bool, detail: str) -> bool:
+    print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    return ok
+
+
 if __name__ == "__main__":
+    ok, types, elapsed = ade_tube_signatures()
+    ok3 = _line(3, ADE_TUBES, ok and elapsed < ADE_TUBES_BOUND_S,
+                f"{types} types, {elapsed:.2f}s")
     ok, checked, elapsed = bsy_sweep(enumerate_baskets(FLETCHER_BOUND))
-    ok = ok and elapsed < BSY_SWEEP_BOUND_S
-    print(f"[criterion 5] {BSY_SWEEP}: {'PASS' if ok else 'FAIL'} "
-          f"({checked} checks, {elapsed:.2f}s)")
-    sys.exit(0 if ok else 1)
+    ok5 = _line(5, BSY_SWEEP, ok and elapsed < BSY_SWEEP_BOUND_S,
+                f"{checked} checks, {elapsed:.2f}s")
+    sys.exit(0 if ok3 and ok5 else 1)

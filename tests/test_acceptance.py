@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from duvalk3.ade import ADEType, cartan_matrix, form_signature
 from duvalk3.catalog import embedded_catalog, load_catalog, verify_row
 from duvalk3.homology import (
     CoveringMap,
@@ -36,8 +35,7 @@ from duvalk3.threefolds import (
     t1_surface,
     threefold_lclass,
 )
-from criteria import BSY_SWEEP, FLETCHER_BOUND, bsy_sweep
-from sturm_oracle import signature_oracle
+from criteria import ADE_TUBES, BSY_SWEEP, FLETCHER_BOUND, ade_tube_signatures, bsy_sweep
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -111,29 +109,9 @@ def test_criterion_2_signature_bound(all_baskets):
 
 
 def test_criterion_3_ade_tube_signatures():
-    start = time.perf_counter()
-    types = [ADEType("A", r) for r in range(1, 21)]
-    types += [ADEType("D", r) for r in range(4, 21)]
-    types += [ADEType("E", r) for r in (6, 7, 8)]
-    diagonalization_ok = all(
-        (lambda s, t: (s.positives, s.negatives, s.zeros) == (0, t.rank, 0))(
-            form_signature(-cartan_matrix(t)), t
-        )
-        for t in types
-    )
-    oracle_ok = all(
-        signature_oracle(-cartan_matrix(t)) == form_signature(-cartan_matrix(t))
-        for t in types
-        if t.rank <= 8
-    )
-    elapsed = time.perf_counter() - start
-    ok = diagonalization_ok and oracle_ok and elapsed < 1.0
-    report(
-        3,
-        "ADE tube signatures (rank <= 20, Sturm cross-check <= 8)",
-        ok,
-        f"{len(types)} types, {elapsed:.2f}s",
-    )
+    ok, types, elapsed = ade_tube_signatures()
+    ok = ok and elapsed < 1.0
+    report(3, ADE_TUBES, ok, f"{types} types, {elapsed:.2f}s")
 
 
 def test_criterion_4_hodge_equals_topological_surfaces(all_baskets):

@@ -346,6 +346,18 @@ def symmetric_forms(max_dim=5, bound=3):
     return st.composite(build)()
 
 
+def insert_zero_rows(q, positions):
+    """q with a zero row and column inserted at each position in turn; a
+    position past the end appends."""
+    rows = [list(row) for row in q.entries]
+    for pos in positions:
+        pos = min(pos, len(rows))
+        for row in rows:
+            row.insert(pos, 0)
+        rows.insert(pos, [0] * (len(rows) + 1))
+    return SymIntForm(tuple(map(tuple, rows)))
+
+
 class TestSignatureProperties:
     @staticmethod
     def check_exhaustive(dim, values, zero_diagonal=False):
@@ -373,6 +385,16 @@ class TestSignatureProperties:
     @given(symmetric_forms())
     def test_matches_sturm_oracle(self, q):
         assert form_signature(q) == signature_oracle(q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_forms(), st.lists(st.integers(min_value=0, max_value=8), max_size=3))
+    def test_zero_rows_anywhere(self, q, positions):
+        padded = insert_zero_rows(q, positions)
+        s = form_signature(q)
+        assert form_signature(padded) == signature_oracle(padded)
+        assert form_signature(padded) == FormSignature(
+            s.positives, s.negatives, s.zeros + len(positions)
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_forms(max_dim=4), symmetric_forms(max_dim=4))
@@ -416,6 +438,12 @@ def congruent(p, d, q):
             for i in range(len(pd))]
 
 
+def edge_and_middle(rng, n):
+    """Positions for insert_zero_rows on an n x n form: first, strictly
+    inside, last."""
+    return [0, rng.randint(1, n), n + 2]
+
+
 class TestTriangleKernelHighRank:
     """Ranks 6-24, which the hypothesis tests (dim <= 5) never reach."""
 
@@ -436,14 +464,18 @@ class TestTriangleKernelHighRank:
         assert form_signature(-q) == FormSignature(
             expected.negatives, expected.positives, expected.zeros
         )
+        padded = insert_zero_rows(q, edge_and_middle(rng, n))
+        assert form_signature(padded) == FormSignature(
+            expected.positives, expected.negatives, expected.zeros + 3
+        )
 
     @pytest.mark.parametrize("seed", range(40))
     def test_hyperbolic_steps_only(self, seed):
         # [[0, B], [B^T, 0]] on a shuffled partition X, Y of the non-isolated
         # vertices has inertia (rank B, rank B, rest).  Every step splits off
         # a hyperbolic plane: the block left stays zero on X x X and Y x Y,
-        # so its diagonal stays zero.  The isolated vertices come first, so
-        # the first pair (r, s) sits inside the block.
+        # so its diagonal stays zero.  The isolated vertices are zero rows,
+        # split off before the first step; each counts as one zero.
         rng = random.Random(seed)
         n = rng.randint(6, 24)
         lead = rng.randint(1, 3)
@@ -459,3 +491,5 @@ class TestTriangleKernelHighRank:
                 m[x][y] = m[y][x] = b[i][j]
         q = SymIntForm(tuple(map(tuple, m)))
         assert form_signature(q) == FormSignature(rank, rank, n - 2 * rank)
+        padded = insert_zero_rows(q, edge_and_middle(rng, n))
+        assert form_signature(padded) == FormSignature(rank, rank, n + 3 - 2 * rank)

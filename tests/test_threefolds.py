@@ -29,6 +29,7 @@ from duvalk3.homology import (
 from duvalk3.threefolds import (
     BoundViolation,
     KawamataDiagram,
+    NovikovDecomposition,
     SurfaceModel,
     bsy_check,
     kawamata_cover,
@@ -223,6 +224,23 @@ class TestNovikovAssembly:
     def test_bound_violation(self):
         with pytest.raises(BoundViolation):
             novikov_assembly(Basket.parse("2A_10"))
+
+    def test_record_contract(self):
+        d = novikov_assembly(Basket.parse("A_1 A_2"))
+        assert repr(d) == "NovikovDecomposition(tube_signatures=(-1, -2), sigma_complement=-13)"
+        assert d == NovikovDecomposition((-1, -2), -13)  # fields in this order
+        assert d.sigma_surface == d.sigma_complement == -13
+        for name in ("tube_signatures", "sigma_complement", "sigma_surface"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, 0)
+
+    def test_every_basket(self):
+        baskets = [b for b, _ in enumerate_baskets(19)]
+        assert len(baskets) == 7574
+        for b in baskets:
+            d = novikov_assembly(b)
+            assert d.tube_signatures == tuple(-t.rank for t in b), b.tokens()
+            assert d.sigma_complement == d.sigma_surface == sigma_k3(b), b.tokens()
 
 
 class TestTubeSignatureTable:
