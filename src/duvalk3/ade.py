@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, groupby
-from operator import attrgetter
+from itertools import groupby
 from typing import Iterator
 
 # Construction cap for Cartan matrices / standard graphs.  The geometric
@@ -106,7 +105,6 @@ _PAIRS = [(k, r) for k in _KINDS for r in range(1, RANK_CAP + 1) if _problem(k, 
 _TYPES = {pair: _interned(*pair, key) for key, pair in enumerate(_PAIRS)}
 ADE_TYPES = tuple(_TYPES.values())  # all 128, in (kind, rank) order
 _key_of = ADEType.key.__get__  # raises TypeError on anything but an ADEType
-_rank_of = attrgetter("rank")
 
 
 def _parse_token(token: str) -> tuple[int | None, ADEType]:
@@ -138,7 +136,7 @@ class Basket:
     @property
     def total_d(self) -> int:
         """Total number of exceptional curves, the sum over all entries."""
-        return sum(map(_rank_of, self.entries))
+        return sum(t.rank for t in self.entries)
 
     def counts(self) -> list[tuple[ADEType, int]]:
         """Entries grouped as (type, multiplicity) in canonical order."""
@@ -332,25 +330,21 @@ def _split_off(a: list[list[int]], k: int) -> list[int]:
 def form_signature(q: SymIntForm) -> FormSignature:
     """Exact inertia of a symmetric integer form by integer Schur complements.
 
-    The zero rows of ``q`` go first: each is one zero of the radical and
-    takes no part in the elimination.  On the rest, Bareiss-style
-    elimination: ``a`` is the block not yet split off and ``p`` the
-    determinant of ``q`` on the pivots taken so far (1 at the start).
-    Invariant: every entry of ``a`` is ``p`` times the rational Schur
-    complement, i.e. a bordered minor of ``q``, so each ``//`` below divides
-    exactly (Sylvester's determinant identity) and entries stay polynomially
-    sized.  A nonzero diagonal pivot d splits off a square of sign d/p; on an
-    all-zero diagonal a nonzero entry e splits off a hyperbolic plane (one
-    positive, one negative); a zero block is the rest of the radical.
+    Bareiss-style elimination: ``a`` is the block not yet split off and
+    ``p`` the determinant of ``q`` on the pivots taken so far (1 at the
+    start).  Invariant: every entry of ``a`` is ``p`` times the rational
+    Schur complement, i.e. a bordered minor of ``q``, so each ``//`` below
+    divides exactly (Sylvester's determinant identity) and entries stay
+    polynomially sized.  A nonzero diagonal pivot d splits off a square of
+    sign d/p; on an all-zero diagonal a nonzero entry e splits off a
+    hyperbolic plane (one positive, one negative); a zero block is the
+    radical.
 
     The block is symmetric, so ``a`` keeps its lower triangle: row i holds
     columns 0..i, the diagonal last.  The pivot is the first nonzero diagonal
     entry, else the first nonzero entry below the diagonal in row-major order.
     """
-    live = list(map(any, q.entries))
-    rows = q.entries if all(live) else [
-        list(compress(row, live)) for row in compress(q.entries, live)]
-    a = [list(row[:i]) for i, row in enumerate(rows, 1)]
+    a = [list(row[:i]) for i, row in enumerate(q.entries, 1)]
     p = 1
     pos = neg = 0
     while a:

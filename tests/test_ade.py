@@ -474,8 +474,9 @@ class TestTriangleKernelHighRank:
         # [[0, B], [B^T, 0]] on a shuffled partition X, Y of the non-isolated
         # vertices has inertia (rank B, rank B, rest).  Every step splits off
         # a hyperbolic plane: the block left stays zero on X x X and Y x Y,
-        # so its diagonal stays zero.  The isolated vertices are zero rows,
-        # split off before the first step; each counts as one zero.
+        # so its diagonal stays zero.  The isolated vertices are zero rows:
+        # the pivot search passes over them, and they stay in the zero block
+        # left at the end, one zero each.
         rng = random.Random(seed)
         n = rng.randint(6, 24)
         lead = rng.randint(1, 3)

@@ -229,6 +229,10 @@ class TestNovikovAssembly:
         d = novikov_assembly(Basket.parse("A_1 A_2"))
         assert repr(d) == "NovikovDecomposition(tube_signatures=(-1, -2), sigma_complement=-13)"
         assert d == NovikovDecomposition((-1, -2), -13)  # fields in this order
+        # a named tuple: equal to, hashed as and unpacked like its plain tuple
+        assert d == ((-1, -2), -13) and hash(d) == hash(((-1, -2), -13))
+        tubes, sigma = d
+        assert (tubes, sigma) == (d.tube_signatures, d.sigma_complement)
         assert d.sigma_surface == d.sigma_complement == -13
         for name in ("tube_signatures", "sigma_complement", "sigma_surface"):
             with pytest.raises(AttributeError):
