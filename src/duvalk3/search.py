@@ -1,15 +1,15 @@
 """Exhaustive enumeration of du Val baskets and weighted K3 hypersurfaces.
 
 Hypersurface families are enumerated over normalized weight quadruples with
-the canonical-triviality constraint d = a0+a1+a2+a3, filtered through the
-well-formedness and quasismoothness tests.  One serial loop takes the
-weights from the vertex linking conditions: a3 from the few values that
-link P_3, a2 from the few that can link P_2 (at most eleven closed-form
-values up to a0+a1, and four above it), a1 from the 34 ratios a1/a0 that
-can link P_1, and a0 <= 7, so the candidate set is finite.  It skips a
-triple whose three weights share a factor, tests P_0, P_1 and P_2 before
-any filter runs, and emits families in canonical order.  It runs once per
-process, and every weight bound filters its list.
+the canonical-triviality constraint d = a0+a1+a2+a3; a candidate must have
+all four vertices linked, then be well-formed, and then gets its basket.
+One serial loop takes the weights from the vertex linking conditions: a3
+from the few values that link P_3, a2 from the few that can link P_2 (at
+most eleven closed-form values up to a0+a1, and four above it), a1 from the
+34 ratios a1/a0 that can link P_1, and a0 <= 7, so the candidate set is
+finite.  It skips a triple whose three weights share a factor and emits
+families in canonical order.  It runs once per process, and every weight
+bound filters its list.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .ade import (
     ADE_TYPES, EXCEPTIONAL_CURVE_BOUND, ADEType, Basket, BoundViolation, _require_ints, sigma_k3,
 )
 from .catalog import CatalogRow
-from .wps import HypersurfaceFamily, Weights, basket, quasismooth, well_formed
+from .wps import HypersurfaceFamily, Weights, _vertices_linked, basket, well_formed
 
 DEFAULT_MAX_WEIGHT = 40
 STABILIZE_STEP = 10
@@ -164,8 +164,8 @@ def enumerate_k3_hypersurfaces(max_weight: int) -> list[K3Family]:
     2*a2, so a2 equals one of 2a0+a1, a0+2a1, 2a1, 2p (a0+a1 and 2a0 are
     below a2).  Every other a2 fails `quasismooth`, so skipping it changes
     no result.  A triple with gcd(a0, a1, a2) > 1 is skipped too: every
-    quadruple on it fails `well_formed`.  The rest are tested at P_0, P_1
-    and P_2 before `Weights`, `well_formed` or `quasismooth` sees them.
+    quadruple on it fails `well_formed`.  The rest go through
+    `_vertices_linked`, then `well_formed`, then `basket`.
 
     a1 comes from `_RATIOS`.  Every a2 above is a*a0 + b*a1 with rational
     a, b >= 0 (15 forms), and every a3 is one of 6 forms in a0, a1, a2.  P_1
@@ -209,19 +209,12 @@ def _k3_families() -> tuple[K3Family, ...]:
                     continue  # (a0, a1, a2) share a factor: not well-formed
                 s = a0 + a1 + a2
                 for a3 in _largest_weights(a0, a1, a2):
-                    d = s + a3  # d - a3 = s
-                    if (
-                        d % a0 and (d - a1) % a0 and (d - a2) % a0 and s % a0
-                        or d % a1 and (d - a0) % a1 and (d - a2) % a1 and s % a1
-                        or d % a2 and (d - a0) % a2 and (d - a1) % a2 and s % a2
-                    ):
-                        continue  # P_0, P_1 or P_2 is not linked
+                    if not _vertices_linked((a0, a1, a2, a3), s + a3):
+                        continue
                     w = Weights((a0, a1, a2, a3))
                     if not well_formed(w):
                         continue
                     f = HypersurfaceFamily.k3(w)
-                    if not quasismooth(f):
-                        continue
                     b = basket(f)
                     families.append(K3Family(f, b, sigma_k3(b)))
     return tuple(families)

@@ -105,19 +105,17 @@ def well_formed(w: Weights) -> bool:
     return all(gcd(*t) == 1 for t in combinations(w.a, 3))
 
 
-def _vertices_linked(a: tuple[int, ...], d: int) -> bool:
-    """`quasismooth`'s requirement on every singleton I = {i}.
+def _vertices_linked(a: tuple[int, int, int, int], d: int) -> bool:
+    """`quasismooth`'s requirement on every singleton I = {i}, the vertex
+    linking condition: each a_i divides d - a_e for some e (e = i gives a_i | d).
 
-    P_i is linked iff a_i | d, or a_i | d - a_e for some e with a_e <= d
-    (e = i among them only repeats a_i | d).
+    No a_e <= d guard is needed: a weight above d links its vertex only
+    through a weight equal to d, and that weight links every vertex.
     """
-    for ai in a:
-        if d % ai:
-            for ae in a:
-                if ae <= d and (d - ae) % ai == 0:
-                    break
-            else:
-                return False
+    a0, a1, a2, a3 = a
+    for x in a:
+        if (d - a0) % x and (d - a1) % x and (d - a2) % x and (d - a3) % x:
+            return False
     return True
 
 
@@ -135,7 +133,8 @@ def quasismooth(f: HypersurfaceFamily) -> bool:
       and its singularities stay isolated.
 
     The singletons I = {i} are the vertex linking conditions
-    (`_vertices_linked`), which the K3 sweep tests before any filter.  Let
+    (`_vertices_linked`); the K3 sweep tests only those, since every linked,
+    well-formed K3 quadruple passes the rest (tests/test_search.py).  Let
     d not be a weight and every vertex be linked; then the first
     requirement holds for every |I| >= 2 once the second does.  For a
     coprime edge {i, j} with no monomial, a_i does not divide d, so P_i

@@ -6,15 +6,12 @@ lines; stated runtime budgets are asserted as wall-clock bounds.
 """
 
 import random
-import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from duvalk3.catalog import embedded_catalog, load_catalog, verify_row
+from duvalk3.catalog import embedded_catalog, verify_row
 from duvalk3.homology import (
     CoveringMap,
     FormalClass,
@@ -35,7 +32,17 @@ from duvalk3.threefolds import (
     t1_surface,
     threefold_lclass,
 )
-from criteria import ADE_TUBES, BSY_SWEEP, FLETCHER_BOUND, ade_tube_signatures, bsy_sweep
+from criteria import (
+    ADE_TUBES,
+    BSY_SWEEP,
+    FLETCHER_BOUND,
+    REIDS_95,
+    SIGMA_PROBE,
+    ade_tube_signatures,
+    bsy_sweep,
+    reids_95,
+    sigma_three_probe,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -50,25 +57,9 @@ def all_baskets():
     return enumerate_baskets(FLETCHER_BOUND)
 
 
-def run_cli(*argv: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, "-m", "duvalk3.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.fixture(scope="module")
 def stabilized():
-    start = time.perf_counter()
-    out = run_cli("search", "--stabilize")
-    elapsed = time.perf_counter() - start
-    rows = load_catalog(out)
-    summary = out.strip().splitlines()[-1]
-    bound = int(re.search(r"max weight: (\d+)", summary).group(1))
-    return rows, bound, elapsed
+    return reids_95()
 
 
 def test_criterion_1_table_reproduction():
@@ -207,38 +198,23 @@ def test_criterion_6_transfer_laws(all_baskets):
 
 
 def test_criterion_7_reids_95(stabilized):
-    rows, bound, elapsed = stabilized
-    catalog_keys = {
-        (row.weights, row.degrees, row.basket.tokens(), row.sigma)
-        for row in embedded_catalog()
-        if row.codim == 1
-    }
-    found = {(row.weights, row.degrees, row.basket.tokens(), row.sigma) for row in rows}
-    sigmas = {row.sigma for row in rows}
-    ok = (
-        len(rows) == 95
-        and catalog_keys <= found
-        and sigmas == set(range(-16, 3)) - {-12}
-        and elapsed < 300.0
-    )
+    ok, families, bound, hits, elapsed = stabilized
+    ok = ok and elapsed < 300.0
     report(
         7,
-        "Reid's 95 hypersurface families (search --stabilize)",
+        REIDS_95,
         ok,
-        f"{len(rows)} families, stabilized bound {bound}, "
-        f"{len(catalog_keys & found)}/18 catalog rows, {elapsed:.1f}s",
+        f"{families} families, stabilized bound {bound}, "
+        f"{hits}/18 catalog rows, {elapsed:.1f}s",
     )
 
 
 def test_criterion_8_sigma_three_probe(stabilized):
-    _, bound, _ = stabilized
-    out = run_cli("search", "--target", "3", "--max-weight", str(bound))
-    hits = load_catalog(out)
-    ok = hits == [] and "# families: 0" in out
+    bound = stabilized[2]
     report(
         8,
-        "sigma = 3 probe (search --target 3)",
-        ok,
+        SIGMA_PROBE,
+        sigma_three_probe(bound),
         f"no hypersurface family up to weight {bound}; consistent with the "
         "open question, not a proof of non-realizability",
     )

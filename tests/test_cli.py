@@ -63,6 +63,11 @@ class TestBasketCommand:
         code, _, _ = run(capsys, "basket", "1", "2", "3", "--degree", "6")
         assert code == EX_USAGE
 
+    def test_non_integer_weight_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "basket", "x", "1", "1", "1", "--degree", "4")
+        assert (code, out) == (EX_USAGE, "")
+        assert "not an integer" in err
+
     def test_nonpositive_weight_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "basket", "0", "1", "1", "1", "--degree", "4")
         assert code == EX_USAGE
@@ -277,6 +282,18 @@ class TestBsyCommand:
         code, out, _ = run(capsys, "bsy", "--q", "3")
         assert code == EX_OK
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "basket, code, message",
+        [
+            ("B_2", EX_USAGE, "error: bad ADE type token"),
+            ("20A_1", EX_REJECT, "rejected: basket has 20 exceptional curves"),
+        ],
+    )
+    def test_bad_basket_refused(self, capsys, basket, code, message):
+        got, out, err = run(capsys, "bsy", "--q", "1", "--basket", basket)
+        assert (got, out) == (code, "")
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, lines",

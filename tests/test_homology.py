@@ -84,6 +84,11 @@ class TestFormalClass:
         with pytest.raises(ValueError, match=r"^scale factor must be an int or a Fraction, got "):
             c * FormalClass()
 
+    def test_comparison_with_a_non_class(self):
+        c = FormalClass({gen("pt", 0, F): 1})
+        assert c.__eq__(1) is NotImplemented
+        assert (c == 1, c != 1) == (False, True)
+
     def test_str_of_zero_and_of_minus_one(self):
         assert str(FormalClass()) == "0"
         c = FormalClass({gen("pt", 0, F): -1, gen("[F]", 4, F): -1})

@@ -237,13 +237,13 @@ class TestEnumerateK3Hypersurfaces:
     def test_filters_see_only_linked_quadruples(self, counted):
         # the linking conditions choose a1, a2 and a3, a triple sharing a
         # factor is skipped, and an unlinked quadruple is rejected before
-        # well_formed or quasismooth sees it: exact counts, no clock
+        # well_formed sees it; quasismooth is not called: exact counts, no clock
         calls = counted("_middle_weights", "_largest_weights", "well_formed",
-                        "quasismooth")
+                        "_vertices_linked")
         assert len(enumerate_k3_hypersurfaces(60)) == 95
         expected = {
             "_middle_weights": 70, "_largest_weights": 225, "well_formed": 148,
-            "quasismooth": 95,
+            "_vertices_linked": 832,
         }
         assert calls == expected
         # a later query in the process filters the list and sweeps nothing

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duvalk3 import threefolds
+from duvalk3 import homology, threefolds
 from duvalk3.ade import (
     ADE_TYPES,
     RANK_CAP,
@@ -43,6 +43,7 @@ from duvalk3.threefolds import (
 from duvalk3.homology import l_class_surface
 from duvalk3.search import enumerate_baskets, enumerate_k3_hypersurfaces
 from duvalk3.wps import quotient_points
+from criteria import FLETCHER_BOUND, bsy_sweep
 from rr_oracle import orbifold_euler
 from sturm_oracle import link_order
 
@@ -574,3 +575,41 @@ class TestBsyCheck:
                     fundamental_class(e_space),
                 )
                 assert pushforward(cover, lfe) == d * threefold_lclass(k)
+
+
+class TestWorkPins:
+    def test_criterion_5_sweep_work(self, monkeypatch):
+        # the work of the 60,608-check BSY sweep from cold caches: exact
+        # counts, no clock; a change that moves one changes its pin
+        for cache in (threefolds._fiber_fold, threefolds._tube_signature,
+                      threefolds._tree_edges):
+            cache.cache_clear()
+        baskets = enumerate_baskets(FLETCHER_BOUND)
+        calls = {"FormalClass": 0}
+        init = FormalClass.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls["FormalClass"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FormalClass, "__init__", counting_init)
+        # _fiber_fold pushes through threefolds' binding, and each cover's
+        # transfer check through homology's
+        for key, module, name in (("product_class", threefolds, "product_class"),
+                                  ("fold pushforward", threefolds, "pushforward"),
+                                  ("transfer check pushforward", homology, "pushforward")):
+            def wrapper(*args, _real=getattr(module, name), _key=key):
+                calls[_key] += 1
+                return _real(*args)
+
+            calls[key] = 0
+            monkeypatch.setattr(module, name, wrapper)
+        ok, checked, _ = bsy_sweep(baskets)
+        assert (ok, checked) == (True, 60608)
+        assert calls == {
+            # bsy_check's, plus the sweep's own [X] for q = 2, 3 at 8 degrees
+            "FormalClass": 303_376 + 16,
+            "product_class": 32,
+            "fold pushforward": 32,
+            "transfer check pushforward": 32,
+        }

@@ -120,7 +120,7 @@ class TestQuasismooth:
                     a, d, supports
                 ), (a, d)
                 # quasismooth's singleton requirement, on its own (the K3
-                # sweep inlines its own P_0-P_2 test and does not call it)
+                # sweep calls it in place of quasismooth)
                 assert _vertices_linked(a, d) == qs_oracle.vertices_linked(
                     a, d, supports
                 ), (a, d)
