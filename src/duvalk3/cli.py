@@ -27,14 +27,6 @@ EX_NOINPUT = 66
 CATALOG_ENV = "DUVALK3_CATALOG"
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with code 64."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -195,7 +187,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared: never mutate it (parsing does not)."""
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="duvalk3",
         description=(
             "Exact signatures, L-classes and Hodge L-classes of du Val K3 "
@@ -255,9 +247,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
-        code = exc.code
-        return code if isinstance(code, int) else EX_USAGE
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EX_USAGE if exc.code == 2 else exc.code
     return args.func(args)
 
 

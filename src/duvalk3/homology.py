@@ -35,6 +35,7 @@ class SpaceLabel:
     dim: int
 
     def __post_init__(self) -> None:
+        _require_ints("space dimension", self.dim)
         if self.dim < 0 or self.dim % 2:
             raise ValueError(f"space dimension must be even >= 0, got {self.dim}")
 
@@ -48,6 +49,7 @@ class Generator:
     space: SpaceLabel
 
     def __post_init__(self) -> None:
+        _require_ints("degree", self.degree)
         if self.degree < 0 or self.degree % 2:
             raise ValueError(f"degree must be even >= 0, got {self.degree}")
         if self.degree > self.space.dim:

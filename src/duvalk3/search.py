@@ -95,21 +95,17 @@ def _largest_weights(a0: int, a1: int, a2: int) -> list[int]:
     * k = 3: only s/3 = a2, iff a0 = a1 = a2.
 
     Every other a3 fails `quasismooth`, so skipping it changes no result,
-    and every candidate satisfies the condition at P_3.  They come out
-    ascending as a2 <= s/2 <= a0+a1 <= a0+a2 <= a1+a2 <= s (a2 only when
-    a1 = a2, s/2 only when s is even, and the first three only when
-    a0+a1 >= a2), with equal neighbours dropped.
+    and every candidate satisfies the condition at P_3.
     """
     s = a0 + a1 + a2
-    low = (
-        (a2 if a1 == a2 else 0, 0 if s % 2 else s // 2, a0 + a1)
-        if a0 + a1 >= a2 else ()
-    )
-    found: list[int] = []
-    for n in (*low, a0 + a2, a1 + a2, s):
-        if n and (not found or n > found[-1]):
-            found.append(n)
-    return found
+    found = {a0 + a2, a1 + a2, s}
+    if a0 + a1 >= a2:
+        found.add(a0 + a1)
+        if s % 2 == 0:
+            found.add(s // 2)
+        if a1 == a2:
+            found.add(a2)
+    return sorted(found)
 
 
 def _middle_weights(a0: int, a1: int) -> list[int]:

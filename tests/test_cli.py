@@ -459,3 +459,11 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == EX_USAGE
+
+    @pytest.mark.parametrize("argv", [("table",), ("plumbing",)], ids=" ".join)
+    def test_missing_nested_argument(self, capsys, argv):
+        # the subparser reports the error itself; main maps argparse's 2 to 64
+        code, out, err = run(capsys, *argv)
+        assert code == EX_USAGE
+        assert out == ""
+        assert "error: the following arguments are required" in err

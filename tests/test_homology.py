@@ -37,6 +37,17 @@ class TestSpacesAndGenerators:
         with pytest.raises(DimensionMismatch):
             Generator("g", 6, F)
 
+    @pytest.mark.parametrize("dim", [4.0, False, Fraction(4)], ids=repr)
+    def test_dimension_must_be_an_int(self, dim):
+        # 4.0 used to build a label equal to SpaceLabel("F", 4)
+        with pytest.raises(ValueError, match=r"^space dimension must be an int, got "):
+            SpaceLabel("F", dim)
+
+    @pytest.mark.parametrize("degree", [0.0, False, Fraction(2)], ids=repr)
+    def test_degree_must_be_an_int(self, degree):
+        with pytest.raises(ValueError, match=r"^degree must be an int, got "):
+            Generator("pt", degree, F)
+
     def test_odd_degree_rejected(self):
         with pytest.raises(ValueError):
             Generator("g", 1, E)
