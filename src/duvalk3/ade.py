@@ -209,7 +209,8 @@ def sigma_k3(b: Basket, q: int = 0) -> int:
     exceptional curve raises the signature by one; for q > 0 the surface
     is nonsingular with signature 0.
     """
-    if type(q) is not int or q not in (0, 1, 2):  # True would pass as 1
+    _require_ints("surface irregularity", q)
+    if q not in (0, 1, 2):
         raise ValueError(f"surface irregularity must be 0, 1 or 2, got {q!r}")
     if q > 0:
         if b.entries:

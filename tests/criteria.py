@@ -2,24 +2,14 @@
 
     python tests/criteria.py
 
-Criterion 1 recomputes every field of the 19 embedded catalog rows.
-Criterion 2 rechecks sigma = -16 + (number of exceptional curves) over every
-basket of at most 19 curves.  Criterion 3 computes the exact inertia of every
-negated Cartan matrix up to rank 20 and cross-checks those up to rank 8
-against the Sturm oracle.  Criterion 4 compares the Hodge L-class of each of
-those baskets with the topological one.  Criterion 5 runs `bsy_check` for
-q = 1 over every basket and for q = 2, 3, each at cover degrees 1 to 8, and
-compares the Hodge route's coefficients with the fiber signature over the
-degree.  Criterion 6 checks p_* p_! = d on 1000 random covers drawn from a
-fixed seed, and that transfer carries each 3-fold L-class to the product
-class.  Criteria 7 and 8 run `python -m duvalk3.cli search --stabilize`,
-then `search --target 3` at the stabilized bound, as subprocesses with this
-checkout's `src/` first on PYTHONPATH, and read their output with
-`load_catalog`.  Each prints its `[criterion N]` line; the script exits 1
-if a check fails or a timed criterion takes its bound (1 s, 10 s and 300 s)
-or more, else 0.  Needs only the standard library and the `src/` tree, so
-any interpreter can run it before anything is installed.
-`tests/test_acceptance.py` runs the same functions under pytest.
+`criterion_1` to `criterion_8` each compute one criterion's check, hold it
+to its wall-clock bound where it has one, print its `[criterion N]` PASS/FAIL
+line and return whether it passed; `tests/test_acceptance.py` asserts the
+same functions under pytest.  Criteria 7 and 8 run `python -m duvalk3.cli
+search` as subprocesses with this checkout's `src/` first on PYTHONPATH.
+The script runs all eight and exits 1 if any fails, else 0.  Needs only the
+standard library and the `src/` tree, so any interpreter can run it before
+anything is installed.
 """
 
 import os
@@ -61,80 +51,16 @@ from duvalk3.threefolds import (  # noqa: E402
 from sturm_oracle import signature_oracle  # noqa: E402
 
 FLETCHER_BOUND = 19
-TABLE = "table reproduction (19 rows, exact)"
-TABLE_BOUND_S = 1.0
-SIGNATURE_BOUND = "signature bound over all baskets"
-SIGNATURE_BOUND_S = 10.0
-ADE_TUBES = "ADE tube signatures (rank <= 20, Sturm cross-check <= 8)"
-ADE_TUBES_BOUND_S = 1.0
-SURFACES = "Hodge = topological L-class on surfaces"
-BSY_SWEEP = "BSY equality on 3-folds (q in 1..3, d in 1..8)"
-BSY_SWEEP_BOUND_S = 10.0
-TRANSFER_LAWS = "transfer laws (p_* p_! = d, transfer of L-class)"
 TRANSFER_SEED = 6180339
 TRANSFER_TRIALS = 1000
-REIDS_95 = "Reid's 95 hypersurface families (search --stabilize)"
-REIDS_95_BOUND_S = 300.0
-SIGMA_PROBE = "sigma = 3 probe (search --target 3)"
-
-
-def table_reproduction() -> tuple[bool, int, int, float]:
-    """Whether the embedded catalog has 19 rows and `verify_row` recomputes
-    every stored field of each, the row and mismatch counts, and the seconds
-    they took."""
-    start = time.perf_counter()
-    rows = embedded_catalog()
-    mismatches = sum(len(verify_row(row).mismatches()) for row in rows)
-    elapsed = time.perf_counter() - start
-    return len(rows) == 19 and not mismatches, len(rows), mismatches, elapsed
-
-
-def signature_bound(all_baskets) -> tuple[bool, int, int, float]:
-    """Whether every basket has sigma = -16 + its curve count with at most
-    19 curves and the sigmas fill [-16, 3], the least and greatest sigma,
-    and the seconds the recheck took."""
-    start = time.perf_counter()
-    sigmas = {sigma for _, sigma in all_baskets}
-    recheck = all(
-        sigma == -16 + basket.total_d and basket.total_d <= FLETCHER_BOUND
-        for basket, sigma in all_baskets
-    )
-    elapsed = time.perf_counter() - start
-    return sigmas == set(range(-16, 4)) and recheck, min(sigmas), max(sigmas), elapsed
-
-
-def ade_tube_signatures() -> tuple[bool, int, float]:
-    """Whether every ADE tube of rank at most 20 has inertia (0, rank, 0) and
-    those of rank at most 8 match the Sturm oracle, how many types ran, and
-    the seconds they took."""
-    start = time.perf_counter()
-    types = [ADEType("A", r) for r in range(1, 21)]
-    types += [ADEType("D", r) for r in range(4, 21)]
-    types += [ADEType("E", r) for r in (6, 7, 8)]
-    diagonalization_ok = all(
-        form_signature(-cartan_matrix(t)) == FormSignature(0, t.rank, 0) for t in types
-    )
-    oracle_ok = all(
-        signature_oracle(-cartan_matrix(t)) == form_signature(-cartan_matrix(t))
-        for t in types
-        if t.rank <= 8
-    )
-    return diagonalization_ok and oracle_ok, len(types), time.perf_counter() - start
-
-
-def surface_failures(all_baskets) -> int:
-    """How many baskets' Hodge L-class `t1_surface` differs from the
-    topological L-class of their signature."""
-    surface = SpaceLabel("F", 4)
-    return sum(
-        t1_surface(basket) != l_class_surface(sigma, surface)
-        for basket, sigma in all_baskets
-    )
 
 
 def bsy_sweep(all_baskets) -> tuple[bool, int, float]:
-    """Whether every check of criterion 5 passed, how many ran, and the
-    seconds they took; stops at the first degree with a failure."""
+    """Whether `bsy_check` passed for q = 1 over every basket, with the Hodge
+    route's p_*[pt_F×E] coefficient equal to sigma over the cover degree,
+    and for q = 2, 3 with the Hodge route [X], each at cover degrees 1 to 8;
+    how many checks ran, and the seconds they took.  Stops after the first
+    degree with a failure."""
     start = time.perf_counter()
     checked = 0
     ok = True
@@ -277,36 +203,110 @@ def sigma_three_probe(bound: int) -> bool:
 
 
 def _line(number: int, name: str, ok: bool, detail: str) -> bool:
+    """Print criterion `number`'s PASS/FAIL line and return `ok`."""
     print(f"[criterion {number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
 
 
-if __name__ == "__main__":
-    ok, rows, mismatches, elapsed = table_reproduction()
-    ok1 = _line(1, TABLE, ok and elapsed < TABLE_BOUND_S,
-                f"{rows} rows, {mismatches} mismatches, {elapsed:.3f}s")
-    all_baskets = enumerate_baskets(FLETCHER_BOUND)
-    ok, low, high, elapsed = signature_bound(all_baskets)
-    ok2 = _line(2, SIGNATURE_BOUND, ok and elapsed < SIGNATURE_BOUND_S,
-                f"{len(all_baskets)} baskets, sigma in [{low},{high}], {elapsed:.2f}s")
-    ok, types, elapsed = ade_tube_signatures()
-    ok3 = _line(3, ADE_TUBES, ok and elapsed < ADE_TUBES_BOUND_S,
-                f"{types} types, {elapsed:.2f}s")
-    failures = surface_failures(all_baskets)
-    ok4 = _line(4, SURFACES, not failures,
-                f"{len(all_baskets)} baskets, {failures} failures")
+def criterion_1() -> bool:
+    """The embedded catalog has 19 rows, and `verify_row` recomputes every
+    stored field of each, inside the wall-clock bound."""
+    start = time.perf_counter()
+    rows = embedded_catalog()
+    mismatches = sum(len(verify_row(row).mismatches()) for row in rows)
+    elapsed = time.perf_counter() - start
+    return _line(1, "table reproduction (19 rows, exact)",
+                 len(rows) == 19 and not mismatches and elapsed < 1.0,
+                 f"{len(rows)} rows, {mismatches} mismatches, {elapsed:.3f}s")
+
+
+def criterion_2(all_baskets) -> bool:
+    """Every basket has sigma = -16 + its curve count and at most 19 curves,
+    and the sigmas fill [-16, 3]; the recheck stays inside the wall-clock
+    bound."""
+    start = time.perf_counter()
+    sigmas = {sigma for _, sigma in all_baskets}
+    recheck = all(
+        sigma == -16 + basket.total_d and basket.total_d <= FLETCHER_BOUND
+        for basket, sigma in all_baskets
+    )
+    elapsed = time.perf_counter() - start
+    return _line(2, "signature bound over all baskets",
+                 sigmas == set(range(-16, 4)) and recheck and elapsed < 10.0,
+                 f"{len(all_baskets)} baskets, sigma in [{min(sigmas)},{max(sigmas)}], "
+                 f"{elapsed:.2f}s")
+
+
+def criterion_3() -> bool:
+    """Every ADE tube of rank at most 20 has inertia (0, rank, 0), and those
+    of rank at most 8 match the Sturm oracle, inside the wall-clock bound."""
+    start = time.perf_counter()
+    types = [ADEType("A", r) for r in range(1, 21)]
+    types += [ADEType("D", r) for r in range(4, 21)]
+    types += [ADEType("E", r) for r in (6, 7, 8)]
+    diagonalization_ok = all(
+        form_signature(-cartan_matrix(t)) == FormSignature(0, t.rank, 0) for t in types
+    )
+    oracle_ok = all(
+        signature_oracle(-cartan_matrix(t)) == form_signature(-cartan_matrix(t))
+        for t in types
+        if t.rank <= 8
+    )
+    elapsed = time.perf_counter() - start
+    return _line(3, "ADE tube signatures (rank <= 20, Sturm cross-check <= 8)",
+                 diagonalization_ok and oracle_ok and elapsed < 1.0,
+                 f"{len(types)} types, {elapsed:.2f}s")
+
+
+def criterion_4(all_baskets) -> bool:
+    """Each basket's Hodge L-class `t1_surface` is the topological L-class
+    of its signature."""
+    surface = SpaceLabel("F", 4)
+    failures = sum(
+        t1_surface(basket) != l_class_surface(sigma, surface)
+        for basket, sigma in all_baskets
+    )
+    return _line(4, "Hodge = topological L-class on surfaces", not failures,
+                 f"{len(all_baskets)} baskets, {failures} failures")
+
+
+def criterion_5(all_baskets) -> bool:
+    """Every check of `bsy_sweep` passes, inside the wall-clock bound."""
     ok, checked, elapsed = bsy_sweep(all_baskets)
-    ok5 = _line(5, BSY_SWEEP, ok and elapsed < BSY_SWEEP_BOUND_S,
-                f"{checked} checks, {elapsed:.2f}s")
+    return _line(5, "BSY equality on 3-folds (q in 1..3, d in 1..8)", ok and elapsed < 10.0,
+                 f"{checked} checks, {elapsed:.2f}s")
+
+
+def criterion_6(all_baskets) -> bool:
+    """Both laws of `transfer_laws` hold."""
     ok, scenarios = transfer_laws(all_baskets)
-    ok6 = _line(6, TRANSFER_LAWS, ok,
-                f"{TRANSFER_TRIALS} random classes from seed {TRANSFER_SEED}, "
-                f"{scenarios} cover scenarios")
-    ok, families, bound, hits, elapsed = reids_95()
-    ok7 = _line(7, REIDS_95, ok and elapsed < REIDS_95_BOUND_S,
-                f"{families} families, stabilized bound {bound}, "
-                f"{hits}/18 catalog rows, {elapsed:.1f}s")
-    ok8 = _line(8, SIGMA_PROBE, sigma_three_probe(bound),
-                f"no hypersurface family up to weight {bound}; consistent with the "
-                "open question, not a proof of non-realizability")
-    sys.exit(0 if all((ok1, ok2, ok3, ok4, ok5, ok6, ok7, ok8)) else 1)
+    return _line(6, "transfer laws (p_* p_! = d, transfer of L-class)", ok,
+                 f"{TRANSFER_TRIALS} random classes from seed {TRANSFER_SEED}, "
+                 f"{scenarios} cover scenarios")
+
+
+def criterion_7(stabilized: tuple[bool, int, int, int, float]) -> bool:
+    """`stabilized`, the result of `reids_95()`, holds, inside the
+    wall-clock bound."""
+    ok, families, bound, hits, elapsed = stabilized
+    return _line(7, "Reid's 95 hypersurface families (search --stabilize)",
+                 ok and elapsed < 300.0,
+                 f"{families} families, stabilized bound {bound}, "
+                 f"{hits}/18 catalog rows, {elapsed:.1f}s")
+
+
+def criterion_8(bound: int) -> bool:
+    """`sigma_three_probe(bound)` holds."""
+    return _line(8, "sigma = 3 probe (search --target 3)", sigma_three_probe(bound),
+                 f"no hypersurface family up to weight {bound}; consistent with the "
+                 "open question, not a proof of non-realizability")
+
+
+if __name__ == "__main__":
+    results = [criterion_1()]
+    all_baskets = enumerate_baskets(FLETCHER_BOUND)
+    results += [criterion_2(all_baskets), criterion_3(), criterion_4(all_baskets),
+                criterion_5(all_baskets), criterion_6(all_baskets)]
+    stabilized = reids_95()
+    results += [criterion_7(stabilized), criterion_8(stabilized[2])]
+    sys.exit(0 if all(results) else 1)

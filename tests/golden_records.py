@@ -1,8 +1,11 @@
-"""The golden corpus, read by `test_cli.py` and by the pytest-free `replay.py`."""
+"""The golden corpus and its one check, shared by `test_cli.py` and by the
+pytest-free `replay.py`."""
 
+import contextlib
+import io
 from pathlib import Path
 
-from duvalk3.cli import EX_DATAERR, EX_NOINPUT, EX_OK, EX_REJECT, EX_USAGE
+from duvalk3.cli import EX_DATAERR, EX_NOINPUT, EX_OK, EX_REJECT, EX_USAGE, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -47,3 +50,20 @@ GOLDEN_RECORDS = [
     (("table", "verify", "--catalog", str(GOLDEN / "malformed_catalog.txt")),
      "table_verify_malformed_catalog.txt", EX_DATAERR),
 ]
+
+
+def mismatches(argv, golden: str, exit_code: int) -> list[str]:
+    """What is wrong with `main(argv)` against its record: the exit code, the
+    stdout byte for byte against the file `golden`, and any stderr where the
+    exit code is 0.  Empty when nothing is."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    wrong = []
+    if code != exit_code:
+        wrong.append(f"exit {code}, expected {exit_code}")
+    if out.getvalue().encode("utf-8") != (GOLDEN / golden).read_bytes():
+        wrong.append(f"stdout differs from {golden}")
+    if exit_code == EX_OK and err.getvalue():
+        wrong.append(f"stderr {err.getvalue()!r}")
+    return wrong

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from duvalk3.cli import (
@@ -10,7 +12,7 @@ from duvalk3.cli import (
     build_parser,
     main,
 )
-from golden_records import GOLDEN, GOLDEN_RECORDS
+from golden_records import GOLDEN_RECORDS, mismatches
 
 
 def run(capsys, *argv):
@@ -407,15 +409,10 @@ class TestSearchCommand:
         GOLDEN_RECORDS,
         ids=[f"argv{i}-{golden}" for i, (_, golden, _) in enumerate(GOLDEN_RECORDS)],
     )
-    def test_whole_stdout_matches_golden(self, capsys, monkeypatch, argv, golden, exit_code):
+    def test_whole_stdout_matches_golden(self, monkeypatch, argv, golden, exit_code):
         # the corpus covers every command, not only search
         monkeypatch.delenv(CATALOG_ENV, raising=False)
-        code, out, err = run(capsys, *argv)
-        assert code == exit_code
-        if exit_code == EX_OK:
-            assert err == ""
-        with open(GOLDEN / golden, encoding="utf-8", newline="") as fh:
-            assert out == fh.read()
+        assert mismatches(argv, golden, exit_code) == []
 
     def test_output_reloads_as_catalog(self, capsys, tmp_path):
         from duvalk3.catalog import load_catalog
@@ -425,6 +422,31 @@ class TestSearchCommand:
         assert all(row.codim == 1 for row in rows)
 
 
+class TestGoldenCheck:
+    """`mismatches` reports each fault it checks for, so the golden tests
+    cannot pass vacuously."""
+
+    ARGV = ("sigma", "A_1", "3A_2")
+
+    def test_reports_each_fault(self, monkeypatch):
+        monkeypatch.delenv(CATALOG_ENV, raising=False)
+        assert mismatches(self.ARGV, "sigma.txt", EX_OK) == []
+        assert mismatches(self.ARGV, "sigma.txt", EX_REJECT) == [
+            f"exit {EX_OK}, expected {EX_REJECT}"
+        ]
+        assert mismatches(self.ARGV, "sigma_q_1.txt", EX_OK) == [
+            "stdout differs from sigma_q_1.txt"
+        ]
+
+        def noisy_main(argv):
+            code = main(argv)
+            print("warning", file=sys.stderr)
+            return code
+
+        monkeypatch.setattr("golden_records.main", noisy_main)
+        assert mismatches(self.ARGV, "sigma.txt", EX_OK) == ["stderr 'warning\\n'"]
+
+
 class TestSharedParser:
     """``main`` parses with one parser per process; no call may leave a trace
     in it for the next."""
@@ -432,13 +454,10 @@ class TestSharedParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_golden_records_in_order_then_reversed(self, capsys, monkeypatch):
+    def test_golden_records_in_order_then_reversed(self, monkeypatch):
         monkeypatch.delenv(CATALOG_ENV, raising=False)
         for argv, golden, exit_code in GOLDEN_RECORDS + GOLDEN_RECORDS[::-1]:
-            code, out, _ = run(capsys, *argv)
-            assert code == exit_code, argv
-            with open(GOLDEN / golden, encoding="utf-8", newline="") as fh:
-                assert out == fh.read(), argv
+            assert mismatches(argv, golden, exit_code) == [], argv
 
     def test_usage_error_leaves_no_trace(self, capsys):
         argv = ("search", "--max-weight", "8", "--format", "tsv")

@@ -18,7 +18,7 @@ from duvalk3.search import (
     find_signature,
     stabilized_enumeration,
 )
-from duvalk3.threefolds import KawamataDiagram
+from duvalk3.threefolds import KawamataDiagram, SurfaceModel
 from duvalk3.wps import (
     HypersurfaceFamily,
     Weights,
@@ -98,6 +98,8 @@ def guard_sites(x):
         (HypersurfaceFamily, (Weights((1, 1, 1, 1)), x)),
         (KawamataDiagram, (x, 1)),
         (KawamataDiagram, (2, x)),
+        (sigma_k3, (Basket(), x)),
+        (SurfaceModel, (Basket(), x)),
         (CatalogRow, ("F", (1, 1, 2, x), (6,), Basket(), -16)),
         (CatalogRow, ("F", (1, 1, 1, 1, 2), (x, 4), Basket(), -16)),
         (CatalogRow, ("F", (1, 1, 1, 1), (4,), Basket.parse("A_18"), x)),

@@ -111,7 +111,8 @@ class TestQuasismooth:
 
     def test_matches_brute_force_oracle(self):
         # every ascending quadruple <= 10 at every degree <= 40; degrees
-        # below the largest weight run the a_e <= d linking guard
+        # below the largest weight give a weight above d, which links its
+        # vertex only through a weight equal to d
         max_degree = 40
         for a in itertools.combinations_with_replacement(range(1, 11), 4):
             supports = qs_oracle.monomial_supports(a, max_degree)
